@@ -1,92 +1,56 @@
 #!/usr/bin/env python3
-"""Reproduce the coordinator-vs-rolling comparison on the bundled scenarios.
+"""Reproduce the coordinator-vs-rolling comparison on the Table-1 scenarios.
 
-For each evaluation scenario this runs the coordinator once and the rolling
-baseline at batch sizes 1-4 (averaged over sampled host orderings), then
-prints the comparison table and writes it as CSV.
+For each scenario this runs ``upgradesim --mode compare`` (the coordinator
+once, the rolling baseline at batch sizes 1-4 averaged over host orderings),
+prints its comparison table and leaves the CLI's artifacts, comparison.csv
+among them, under ``<out>/<scenario>/``. The rows are exactly those of the
+CLI run with the same ``--seed``.
 
 Usage:
-    python scripts/run_comparison.py [--out out/comparison] [--seed 17]
-                                     [--samples 200]
+    python scripts/run_comparison.py [--out out/comparison] [--seed N]
 """
 
 import argparse
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
-from upgradesim import metrics as metrics_mod  # noqa: E402
-from upgradesim.rolling import RollingBaselineConfig, run_rolling_baseline  # noqa: E402
-from upgradesim.scenario import (  # noqa: E402
-    build_cluster,
-    build_coordinator,
-    build_timing,
-    load_scenario,
-)
+from upgradesim import cli  # noqa: E402
 
 SCENARIOS = ("table1-scenario-a", "table1-scenario-b")
-
-
-def comparison_for(scenario, seed: int, samples: int) -> list[metrics_mod.ComparisonRow]:
-    coordinator = build_coordinator(scenario)
-    result = coordinator.run(max_sim_time_ms=50_000_000)
-    tenants = sorted(coordinator.cluster.tenants)
-    violations = metrics_mod.compute_sla_violations(result.log, tenants)
-    rows = [
-        metrics_mod.comparison_row(
-            "coordinator",
-            result.duration_ms / 1000,
-            [metrics_mod.penalty_report(violations, tenants)],
-        )
-    ]
-    cluster = build_cluster(scenario)
-    timing = build_timing(scenario)
-    for batch_size in (1, 2, 3, 4):
-        rolling = run_rolling_baseline(
-            cluster,
-            RollingBaselineConfig(
-                batch_size=batch_size,
-                order_policy="sample-n",
-                seed=seed,
-                sample_count=samples,
-            ),
-            timing,
-        )
-        rows.append(
-            metrics_mod.comparison_row(
-                f"rolling-batch-{batch_size}",
-                rolling.average_duration_s,
-                rolling.penalty_reports(),
-            )
-        )
-    return rows
+WIDTHS = [18, 10, 9, 9, 9, 9, 12, 10]
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="out/comparison")
-    parser.add_argument("--seed", type=int, default=17)
-    parser.add_argument("--samples", type=int, default=200)
+    parser.add_argument(
+        "--seed", type=int, default=None, help="passed on as upgradesim --seed when given"
+    )
     args = parser.parse_args()
 
-    scenario_dir = Path(__file__).resolve().parent.parent / "scenarios"
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    status = cli.EXIT_OK
     for name in SCENARIOS:
-        scenario = load_scenario(scenario_dir / f"{name}.json")
-        rows = comparison_for(scenario, args.seed, args.samples)
-        csv_text = metrics_mod.comparison_csv(rows)
-        (out_dir / f"{name}.csv").write_text(csv_text)
+        out = Path(args.out) / name
+        argv = ["--scenario", str(ROOT / "scenarios" / f"{name}.json"), "--mode", "compare",
+                "--out", str(out)]
+        if args.seed is not None:
+            argv += ["--seed", str(args.seed)]
+        code = cli.main(argv)
+        status = status or code
         print(f"== {name}")
-        header, *body = csv_text.strip().splitlines()
-        widths = [18, 10, 9, 9, 9, 9, 12, 10]
-        for line in (header, *body):
-            cells = line.split(",")
-            print("  ".join(c.ljust(w) for c, w in zip(cells, widths)))
+        csv = out / "comparison.csv"
+        if not csv.exists():
+            print(f"  no comparison written (upgradesim exit code {code})\n")
+            continue
+        for line in csv.read_text().splitlines():
+            print("  ".join(c.ljust(w) for c, w in zip(line.split(","), WIDTHS)))
         print()
-    print(f"CSV written under {out_dir}/")
-    return 0
+    print(f"artifacts written under {args.out}/")
+    return status
 
 
 if __name__ == "__main__":

@@ -6,8 +6,9 @@ else (graphs, planners) reads snapshots of it.
 
 from __future__ import annotations
 
-import copy
+from bisect import insort
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from upgradesim.errors import InconsistentConfigError, UnknownHostError, UnknownResourceError
 
@@ -24,6 +25,16 @@ def host_kind(roles: frozenset[str]) -> str:
         if role in roles:
             return kind
     return "other"
+
+
+def _copy(obj, **changes):
+    """A shallow copy of a dataclass instance, with ``changes`` applied.
+
+    Half the cost of ``copy.copy``; the rolling baseline clones the cluster
+    once per host ordering."""
+    twin = object.__new__(type(obj))
+    twin.__dict__.update(obj.__dict__, **changes)
+    return twin
 
 
 @dataclass
@@ -64,6 +75,15 @@ class SimResource:
         return self.present and self.up and self.active and not self.removed
 
 
+def _capacity(host: SimResource, hv: SimResource | None) -> int:
+    """VM slots of ``host``: its upgraded capacity once its hypervisor has
+    left its initial version."""
+    state = hv.primary_state() if hv is not None else None
+    if state is not None and hv.initial_primary_version not in (None, state[1]):
+        return host.capacity_after_upgrade
+    return host.capacity
+
+
 @dataclass
 class VmState:
     vm_id: str
@@ -88,43 +108,91 @@ class TenantSLA:
     vm_seq: int = 0
 
 
-@dataclass
 class ClusterState:
-    resources: dict[str, SimResource] = field(default_factory=dict)
-    vms: dict[str, VmState] = field(default_factory=dict)
-    tenants: dict[str, TenantSLA] = field(default_factory=dict)
-    clock: int = 0
+    """Resources, VMs and tenants, indexed by where they sit.
+
+    ``resources`` and ``vms`` are read-only views: resources and VMs enter
+    through ``add_resource`` and ``add_vm``, VMs move with ``place_vm`` and
+    leave with ``drop_vm``, so that the indexes behind the per-host lookups
+    stay in step. Flags such as ``removed`` and ``up`` may be set directly;
+    lookups filter on them when they are asked.
+    """
+
+    def __init__(self) -> None:
+        self._resources: dict[str, SimResource] = {}
+        self._vms: dict[str, VmState] = {}
+        self.resources = MappingProxyType(self._resources)
+        self.vms = MappingProxyType(self._vms)
+        self.tenants: dict[str, TenantSLA] = {}
+        self.clock = 0
+        # container -> component ids and host -> VM ids, each sorted by id
+        self._contained: dict[str, list[str]] = {}
+        self._placed: dict[str | None, list[str]] = {}
+        # resources and hosts sorted by id; None until asked for after add_resource
+        self._order: list[SimResource] | None = None
+        self._host_order: list[SimResource] | None = None
+
+    # -- mutation -------------------------------------------------------------
+
+    def add_resource(self, res: SimResource) -> None:
+        if res.resource_id in self._resources:
+            raise InconsistentConfigError(f"resource {res.resource_id!r} already exists")
+        self._resources[res.resource_id] = res
+        if res.container is not None:
+            insort(self._contained.setdefault(res.container, []), res.resource_id)
+        self._order = self._host_order = None
+
+    def add_vm(self, vm: VmState) -> None:
+        if vm.vm_id in self._vms:
+            raise InconsistentConfigError(f"vm {vm.vm_id!r} already exists")
+        self._vms[vm.vm_id] = vm
+        insort(self._placed.setdefault(vm.host, []), vm.vm_id)
+
+    def drop_vm(self, vm_id: str) -> VmState:
+        vm = self._vms.pop(vm_id)
+        self._placed[vm.host].remove(vm_id)
+        return vm
+
+    def place_vm(self, vm: VmState, host_id: str | None) -> None:
+        """Move ``vm`` to ``host_id``, or off every host with None."""
+        if self._vms.get(vm.vm_id) is not vm:
+            raise UnknownResourceError(f"vm {vm.vm_id!r} is not in this cluster")
+        self._placed[vm.host].remove(vm.vm_id)
+        vm.host = host_id
+        insort(self._placed.setdefault(host_id, []), vm.vm_id)
 
     # -- lookups --------------------------------------------------------------
 
     def resource(self, resource_id: str) -> SimResource:
         try:
-            return self.resources[resource_id]
+            return self._resources[resource_id]
         except KeyError:
             raise UnknownResourceError(f"unknown resource {resource_id!r}") from None
 
     def host(self, host_id: str) -> SimResource:
-        res = self.resources.get(host_id)
+        res = self._resources.get(host_id)
         if res is None or not res.is_host:
             raise UnknownHostError(f"unknown host {host_id!r}")
         return res
 
     def hosts(self) -> list[SimResource]:
-        return [r for r in self._sorted_resources() if r.is_host and not r.removed]
+        if self._host_order is None:
+            self._sort()
+        return [r for r in self._host_order if not r.removed]
 
     def hosts_with_role(self, role: str) -> list[str]:
         return [r.resource_id for r in self.hosts() if role in r.roles]
 
     def components_on(self, host_id: str) -> list[SimResource]:
+        resources = self._resources
         return [
-            r
-            for r in self._sorted_resources()
-            if r.container == host_id and not r.removed
+            resources[c] for c in self._contained.get(host_id, ()) if not resources[c].removed
         ]
 
     def hypervisor_of(self, host_id: str) -> SimResource | None:
-        for comp in self.components_on(host_id):
-            if comp.kind == "hypervisor":
+        for c in self._contained.get(host_id, ()):
+            comp = self._resources[c]
+            if comp.kind == "hypervisor" and not comp.removed:
                 return comp
         return None
 
@@ -138,36 +206,27 @@ class ClusterState:
 
     def storage_backend_of(self, host_id: str) -> SimResource | None:
         """The in-service virtual storage currently backing a compute host."""
-        for res in self._sorted_resources():
+        if self._order is None:
+            self._sort()
+        for res in self._order:
             if res.kind != "virtual-storage" or res.removed or not res.present:
                 continue
             if host_id in res.serves:
                 return res
         return None
 
-    def _sorted_resources(self) -> list[SimResource]:
-        return [self.resources[k] for k in sorted(self.resources)]
+    def _sort(self) -> None:
+        self._order = [self._resources[k] for k in sorted(self._resources)]
+        self._host_order = [r for r in self._order if r.is_host]
 
     # -- placement ------------------------------------------------------------
 
     def vms_on(self, host_id: str) -> list[VmState]:
-        return [
-            self.vms[v]
-            for v in sorted(self.vms)
-            if self.vms[v].host == host_id and self.vms[v].up
-        ]
+        vms = self._vms
+        return [vms[v] for v in self._placed.get(host_id, ()) if vms[v].up]
 
     def effective_capacity(self, host_id: str) -> int:
-        res = self.host(host_id)
-        hv = self.hypervisor_of(host_id)
-        if (
-            hv is not None
-            and hv.initial_primary_version is not None
-            and hv.primary_state() is not None
-            and hv.primary_state()[1] != hv.initial_primary_version
-        ):
-            return res.capacity_after_upgrade
-        return res.capacity
+        return _capacity(self.host(host_id), self.hypervisor_of(host_id))
 
     def free_slots(self, host_id: str) -> int:
         res = self.host(host_id)
@@ -176,17 +235,17 @@ class ClusterState:
         hv = self.hypervisor_of(host_id)
         if hv is not None and not hv.in_service:
             return 0
-        return self.effective_capacity(host_id) - len(self.vms_on(host_id))
+        return _capacity(res, hv) - len(self.vms_on(host_id))
 
     def host_can_run_vms(self, host_id: str) -> bool:
-        res = self.resources.get(host_id)
+        res = self._resources.get(host_id)
         if res is None or not res.in_service or "compute" not in res.roles:
             return False
         hv = self.hypervisor_of(host_id)
         return hv is None or hv.in_service
 
     def anti_affinity_ok(self, vm_id: str, host_id: str) -> bool:
-        vm = self.vms[vm_id]
+        vm = self._vms[vm_id]
         for other in self.vms_on(host_id):
             if (
                 other.vm_id != vm_id
@@ -199,18 +258,21 @@ class ClusterState:
     def used_compute_hosts(self) -> list[str]:
         return [h for h in self.hosts_with_role("compute") if self.vms_on(h)]
 
-    def group_members(self, tenant_id: str, group_id: str) -> list[VmState]:
-        return [
-            self.vms[v]
-            for v in sorted(self.vms)
-            if self.vms[v].tenant_id == tenant_id and self.vms[v].group_id == group_id
-        ]
-
     def tenant_vms(self, tenant_id: str) -> list[VmState]:
         return [self.vms[v] for v in sorted(self.vms) if self.vms[v].tenant_id == tenant_id]
 
     def clone(self) -> "ClusterState":
-        return copy.deepcopy(self)
+        """A copy that shares no mutable state with this one."""
+        twin = ClusterState()
+        twin.clock = self.clock
+        twin.tenants = {k: _copy(t) for k, t in self.tenants.items()}
+        twin._resources.update(
+            (k, _copy(r, installed=dict(r.installed))) for k, r in self._resources.items()
+        )
+        twin._vms.update((k, _copy(vm)) for k, vm in self._vms.items())
+        twin._contained = {k: list(ids) for k, ids in self._contained.items()}
+        twin._placed = {k: list(ids) for k, ids in self._placed.items()}
+        return twin
 
     def validate(self) -> None:
         """Raise when the configuration has dangling references."""

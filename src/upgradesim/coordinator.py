@@ -486,23 +486,6 @@ class Coordinator:
         res.active = False
         self.log.emit(self.cluster.clock, "resource-isolated", resource=resource_id)
         if res.is_host:
-            for vm in self.cluster.vms_on(resource_id):
-                vm.host = None
-                candidates = self.engine._placement_candidates(
-                    vm, self.engine._tenant_side_hosts(vm.tenant_id)
-                )
-                if candidates:
-                    vm.host = candidates[0]
-                    self.log.emit(
-                        self.cluster.clock,
-                        "vm-failover",
-                        vm=vm.vm_id,
-                        tenant=vm.tenant_id,
-                        group=vm.group_id,
-                        to_host=vm.host,
-                    )
-                else:
-                    vm.up = False
-                    self.log.emit(
-                        self.cluster.clock, "vm-stranded", vm=vm.vm_id, tenant=vm.tenant_id
-                    )
+            self.engine.fail_over(
+                self.cluster.vms_on(resource_id), self.cluster.clock, record_outage=False
+            )

@@ -287,7 +287,7 @@ class Engine:
             )
         if len(self.cluster.vms_on(dest)) >= self.cluster.effective_capacity(dest):
             raise SimulationInvariantError(f"migration of {vm_id!r} overfills {dest!r}")
-        vm.host = dest
+        self.cluster.place_vm(vm, dest)
         outage = int(action.params.get("outage_ms", self.timing.migration_outage_ms))
         self.log.emit(
             end,
@@ -322,10 +322,10 @@ class Engine:
                 group_id=action.params["group"],
                 host=None,
             )
-            self.cluster.vms[vm_id] = vm
+            self.cluster.add_vm(vm)
         if not self.cluster.anti_affinity_ok(vm_id, dest):
             raise SimulationInvariantError(f"spawn of {vm_id!r} on {dest!r} violates anti-affinity")
-        vm.host = dest
+        self.cluster.place_vm(vm, dest)
         vm.up = True
         if "version" in action.params:
             vm.version = action.params["version"]
@@ -382,10 +382,10 @@ class Engine:
             vm_id = f"{tenant.tenant_id}.s{tenant.vm_seq}"
             group_id = self._group_for_new_vm(tenant.tenant_id)
             vm = VmState(vm_id=vm_id, tenant_id=tenant.tenant_id, group_id=group_id, host=None)
-            self.cluster.vms[vm_id] = vm
+            self.cluster.add_vm(vm)
             candidates = self._placement_candidates(vm, side)
             if not candidates:
-                del self.cluster.vms[vm_id]
+                self.cluster.drop_vm(vm_id)
                 tenant.vm_seq -= 1
                 self.capacity_rejections += 1
                 self._deferred_scalings.append(
@@ -399,7 +399,7 @@ class Engine:
                     placed=placed,
                 )
                 break
-            vm.host = candidates[0]
+            self.cluster.place_vm(vm, candidates[0])
             tenant.committed += 1
             placed += 1
             self.log.emit(
@@ -431,7 +431,7 @@ class Engine:
         )
         removed = 0
         for vm in vms[:count]:
-            del self.cluster.vms[vm.vm_id]
+            self.cluster.drop_vm(vm.vm_id)
             tenant.committed -= 1
             removed += 1
             self.log.emit(now, "vm-removed", vm=vm.vm_id, tenant=tenant.tenant_id, host=vm.host)
@@ -481,12 +481,18 @@ class Engine:
         victims = list(self.cluster.vms_on(host_id))
         host.up = False
         self.log.emit(now, "host-failed", host=host_id)
-        restart_at = now + self.timing.failover_restart_ms
-        for vm in victims:
-            vm.host = None
+        self.fail_over(victims, now + self.timing.failover_restart_ms, record_outage=True)
+
+    def fail_over(self, vms: list[VmState], restart_at: int, record_outage: bool) -> None:
+        """Restart ``vms``, taken from a host that can no longer run them, on
+        the best other host beside their tenant, or strand them when none has
+        room. ``record_outage`` logs the gap until ``restart_at`` as an outage."""
+        now = self.cluster.clock
+        for vm in vms:
+            self.cluster.place_vm(vm, None)
             candidates = self._placement_candidates(vm, self._tenant_side_hosts(vm.tenant_id))
             if candidates:
-                vm.host = candidates[0]
+                self.cluster.place_vm(vm, candidates[0])
                 self.log.emit(
                     restart_at,
                     "vm-failover",
@@ -495,16 +501,17 @@ class Engine:
                     group=vm.group_id,
                     to_host=vm.host,
                 )
-                self.log.emit(
-                    restart_at,
-                    "vm-outage",
-                    vm=vm.vm_id,
-                    tenant=vm.tenant_id,
-                    group=vm.group_id,
-                    start=now,
-                    end=restart_at,
-                    cause="host-failure",
-                )
+                if record_outage:
+                    self.log.emit(
+                        restart_at,
+                        "vm-outage",
+                        vm=vm.vm_id,
+                        tenant=vm.tenant_id,
+                        group=vm.group_id,
+                        start=now,
+                        end=restart_at,
+                        cause="host-failure",
+                    )
             else:
                 vm.up = False
                 self.log.emit(now, "vm-stranded", vm=vm.vm_id, tenant=vm.tenant_id)
@@ -514,23 +521,23 @@ class Engine:
         if host_id in self.cluster.resources:
             raise SimulationInvariantError(f"host {host_id!r} already exists")
         roles = frozenset(payload.get("roles", ["compute"]))
-        self.cluster.resources[host_id] = SimResource(
+        self.cluster.add_resource(SimResource(
             resource_id=host_id,
             kind="compute-host" if "compute" in roles else "storage-host",
             roles=roles,
             capacity=payload.get("capacity", 0),
             capacity_after_upgrade=payload.get("capacity_after_upgrade", payload.get("capacity", 0)),
-        )
+        ))
         hv = payload.get("hypervisor")
         if hv:
-            self.cluster.resources[hv["id"]] = SimResource(
+            self.cluster.add_resource(SimResource(
                 resource_id=hv["id"],
                 kind="hypervisor",
                 installed={hv["product"]: hv["version"]},
                 primary_product=hv["product"],
                 container=host_id,
                 initial_primary_version=hv["version"],
-            )
+            ))
         self.log.emit(self.cluster.clock, "host-added", host=host_id)
 
     # -- continuity check ----------------------------------------------------------------

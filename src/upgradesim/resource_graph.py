@@ -589,7 +589,7 @@ def _create_placeholders(cluster: ClusterState, change_set: ChangeSet) -> None:
         rid = change.new_resource_id or change.targets[0]
         if rid in cluster.resources:
             continue
-        cluster.resources[rid] = SimResource(
+        cluster.add_resource(SimResource(
             resource_id=rid,
             kind=change.new_resource_kind or "other",
             primary_product=change.product,
@@ -597,7 +597,7 @@ def _create_placeholders(cluster: ClusterState, change_set: ChangeSet) -> None:
             present=False,
             constituents=change.aggregate_of,
             serves=change.will_serve,
-        )
+        ))
 
 
 def _projected_state(

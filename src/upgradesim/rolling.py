@@ -134,7 +134,7 @@ def run_single_ordering(
                     log.emit(clock, "evacuation-infeasible", host=host_id, vm=vm.vm_id)
                     continue
                 moves.append((vm.vm_id, host_id, dest))
-                vm.host = dest  # take effect for subsequent placement checks
+                cluster.place_vm(vm, dest)  # take effect for subsequent placement checks
         if moves:
             rounds += 1
             end = clock + timing.migration_ms

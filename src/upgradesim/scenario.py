@@ -326,18 +326,18 @@ def build_cluster(scenario: Scenario) -> ClusterState:
     ]
     for h in scenario.data["cluster"]["hosts"]:
         roles = frozenset(h["roles"])
-        cluster.resources[h["id"]] = SimResource(
+        cluster.add_resource(SimResource(
             resource_id=h["id"],
             kind=host_kind(roles),
             roles=roles,
             capacity=h["capacity"],
             capacity_after_upgrade=h["capacity_after_upgrade"],
-        )
+        ))
     for c in scenario.data["cluster"]["components"]:
         serves = c["serves"]
         if serves == "all-compute":
             serves = list(compute_hosts)
-        cluster.resources[c["id"]] = SimResource(
+        cluster.add_resource(SimResource(
             resource_id=c["id"],
             kind=c["kind"],
             installed={c["product"]: c["version"]},
@@ -347,7 +347,7 @@ def build_cluster(scenario: Scenario) -> ClusterState:
             serves=tuple(serves),
             peers=tuple(c["peers"]),
             initial_primary_version=c["version"],
-        )
+        ))
     for t in scenario.data["tenants"]:
         cluster.tenants[t["id"]] = TenantSLA(
             tenant_id=t["id"],
@@ -358,9 +358,9 @@ def build_cluster(scenario: Scenario) -> ClusterState:
             committed=len(t["vms"]),
         )
         for v in t["vms"]:
-            cluster.vms[v["id"]] = VmState(
+            cluster.add_vm(VmState(
                 vm_id=v["id"], tenant_id=t["id"], group_id=v["group"], host=v["host"]
-            )
+            ))
     cluster.validate()
     return cluster
 

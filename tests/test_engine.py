@@ -11,15 +11,15 @@ def small_cluster(hosts=3, k=2):
     cluster = ClusterState()
     for i in range(hosts):
         hid = f"h{i+1}"
-        cluster.resources[hid] = SimResource(
+        cluster.add_resource(SimResource(
             resource_id=hid, kind="compute-host", roles=frozenset({"compute"}),
             capacity=k, capacity_after_upgrade=k,
-        )
-        cluster.resources[f"hv{i+1}"] = SimResource(
+        ))
+        cluster.add_resource(SimResource(
             resource_id=f"hv{i+1}", kind="hypervisor",
             installed={"qemu": "1"}, primary_product="qemu",
             container=hid, initial_primary_version="1",
-        )
+        ))
     return cluster
 
 
@@ -96,7 +96,7 @@ class TestExecuteSchedule:
     def test_migration_outage_window_is_exactly_600ms(self):
         cluster = small_cluster()
         cluster.tenants["T1"] = TenantSLA("T1", 1, 4, 1, 600_000, committed=1)
-        cluster.vms["T1.1"] = VmState("T1.1", "T1", "g1", "h1")
+        cluster.add_vm(VmState("T1.1", "T1", "g1", "h1"))
         engine = engine_for(cluster)
         schedule = RuntimeUpgradeSchedule(
             "s", 0, (one_lane("l1", migrate_action("T1.1", "h1", "h2")),)
@@ -118,8 +118,8 @@ class TestScaling:
     def _tenant_cluster(self):
         cluster = small_cluster(hosts=3)
         cluster.tenants["T1"] = TenantSLA("T1", 1, 3, 1, 120_000, committed=2)
-        cluster.vms["T1.1"] = VmState("T1.1", "T1", "g1", "h1")
-        cluster.vms["T1.2"] = VmState("T1.2", "T1", "g1", "h2")
+        cluster.add_vm(VmState("T1.1", "T1", "g1", "h1"))
+        cluster.add_vm(VmState("T1.2", "T1", "g1", "h2"))
         return cluster
 
     def test_scale_out_at_max_is_clamped(self):
@@ -151,7 +151,7 @@ class TestScaling:
     def test_scale_in_prefers_emptiest_host(self):
         cluster = self._tenant_cluster()
         cluster.tenants["T2"] = TenantSLA("T2", 0, 2, 1, 120_000, committed=1)
-        cluster.vms["T2.1"] = VmState("T2.1", "T2", "g1", "h1")
+        cluster.add_vm(VmState("T2.1", "T2", "g1", "h1"))
         engine = engine_for(cluster)
         engine.apply_scaling(ScenarioEvent(0, "scale-in", {"tenant": "T1"}))
         assert "T1.2" not in cluster.vms  # h2 held one VM, h1 held two
@@ -167,7 +167,7 @@ class TestHostFailure:
     def test_vm_relocated_with_bounded_outage(self):
         cluster = small_cluster()
         cluster.tenants["T1"] = TenantSLA("T1", 1, 3, 1, 600_000, committed=1)
-        cluster.vms["T1.1"] = VmState("T1.1", "T1", "g1", "h1")
+        cluster.add_vm(VmState("T1.1", "T1", "g1", "h1"))
         engine = engine_for(cluster)
         cluster.clock = 5_000
         engine.inject_host_failure("h1")
@@ -189,12 +189,30 @@ class TestHostFailure:
         with pytest.raises(UnknownHostError):
             engine.inject_host_failure("nope")
 
+    def test_fail_over_without_outage_record_strands_what_finds_no_room(self):
+        # the coordinator's isolation of a host: failover at the current
+        # instant, no outage record; a VM with no host left is stranded
+        cluster = small_cluster(hosts=2, k=1)
+        cluster.tenants["T1"] = TenantSLA("T1", 1, 3, 1, 600_000, committed=2)
+        cluster.add_vm(VmState("T1.1", "T1", "g1", "h1"))
+        cluster.add_vm(VmState("T1.2", "T1", "g2", "h1"))
+        engine = engine_for(cluster)
+        cluster.clock = 7_000
+        cluster.resources["h1"].active = False
+        engine.fail_over(cluster.vms_on("h1"), cluster.clock, record_outage=False)
+        failover = engine.log.of_kind("vm-failover")
+        assert [(r["vm"], r["to_host"], r["at"]) for r in failover] == [("T1.1", "h2", 7_000)]
+        assert [r["vm"] for r in engine.log.of_kind("vm-stranded")] == ["T1.2"]
+        assert engine.log.of_kind("vm-outage") == []
+        assert [v.vm_id for v in cluster.vms_on("h2")] == ["T1.1"]
+        assert cluster.vms_on("h1") == [] and cluster.vms["T1.2"].host is None
+
 
 class TestDeterminism:
     def _run(self, seed):
         cluster = small_cluster()
         cluster.tenants["T1"] = TenantSLA("T1", 1, 4, 2, 60_000, committed=1)
-        cluster.vms["T1.1"] = VmState("T1.1", "T1", "g1", "h1")
+        cluster.add_vm(VmState("T1.1", "T1", "g1", "h1"))
         events = [
             ScenarioEvent(5_000, "scale-out", {"tenant": "T1"}),
             ScenarioEvent(70_000, "scale-out", {"tenant": "T1"}),

@@ -285,7 +285,7 @@ class TestConsolidation:
         assert len(plan) == 2
         assert {m.dest for m in plan} == {"h3"}
         for m in plan:
-            cluster.vms[m.vm_id].host = m.dest
+            cluster.place_vm(cluster.vms[m.vm_id], m.dest)
         used = len(cluster.used_compute_hosts())
         assert used == brute_force_min_used_hosts(cluster)
 

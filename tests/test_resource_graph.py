@@ -291,6 +291,6 @@ def test_refresh_tracks_cluster_changes():
     cluster.resources["h1"].up = False
     refresh_structure(rg, cluster, model, catalog)
     assert not rg.resources["h1"].up
-    del cluster.resources["hv2"]
+    cluster.resources["hv2"].removed = True
     refresh_structure(rg, cluster, model, catalog)
     assert "hv2" not in rg.resources

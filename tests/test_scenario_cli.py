@@ -1,4 +1,6 @@
 import json
+import runpy
+import sys
 
 import pytest
 
@@ -133,3 +135,20 @@ class TestCli:
                 + (out / "metrics.json").read_bytes()
             )
         assert outs[0] == outs[1]
+
+
+def test_comparison_script_prints_the_cli_compare_rows(tmp_path, monkeypatch, capsys):
+    script = runpy.run_path(str(SCENARIO_DIR.parent / "scripts" / "run_comparison.py"))
+    monkeypatch.setattr(sys, "argv", ["run_comparison.py", "--out", str(tmp_path / "script")])
+    assert script["main"]() == EXIT_OK
+    printed = capsys.readouterr().out.splitlines()
+    cli_out = tmp_path / "cli"
+    assert main([
+        "--scenario", str(SCENARIO_DIR / "table1-scenario-a.json"),
+        "--mode", "compare", "--out", str(cli_out),
+    ]) == EXIT_OK
+    rows = (cli_out / "comparison.csv").read_text().splitlines()
+    start = printed.index("== table1-scenario-a") + 1
+    assert [line.split() for line in printed[start : start + len(rows)]] == [
+        row.split(",") for row in rows
+    ]

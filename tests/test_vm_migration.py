@@ -61,10 +61,10 @@ def cluster_with_old_vms(counts: dict[str, int], hosts_old=5, hosts_new=2, k=2):
     old = [f"o{i+1}" for i in range(hosts_old)]
     new = [f"n{i+1}" for i in range(hosts_new)]
     for h in old + new:
-        cluster.resources[h] = SimResource(
+        cluster.add_resource(SimResource(
             resource_id=h, kind="compute-host", roles=frozenset({"compute"}),
             capacity=k, capacity_after_upgrade=k,
-        )
+        ))
     placements: dict[str, int] = {h: 0 for h in old}
     hosts_of: dict[str, set[str]] = {}
     for tenant_id in sorted(counts):
@@ -82,9 +82,9 @@ def cluster_with_old_vms(counts: dict[str, int], hosts_old=5, hosts_new=2, k=2):
             host = candidates[0]
             placements[host] += 1
             hosts_of[tenant_id].add(host)
-            cluster.vms[f"{tenant_id}.{j+1}"] = VmState(
+            cluster.add_vm(VmState(
                 vm_id=f"{tenant_id}.{j+1}", tenant_id=tenant_id, group_id="g1", host=host
-            )
+            ))
     view = make_view(
         compute=old + new,
         for_old=old,
@@ -114,18 +114,18 @@ class TestSubIterationSelection:
         # two candidate hosts carrying 2 vs 1 VMs of the selected groups
         cluster = ClusterState()
         for h in ("o1", "o2", "n1"):
-            cluster.resources[h] = SimResource(
+            cluster.add_resource(SimResource(
                 resource_id=h, kind="compute-host", roles=frozenset({"compute"}),
                 capacity=2, capacity_after_upgrade=2,
-            )
+            ))
         for tenant_id in ("T1", "T2"):
             cluster.tenants[tenant_id] = TenantSLA(
                 tenant_id=tenant_id, min_vms=0, max_vms=4, scaling_adjustment=1,
                 cooldown_ms=600_000, committed=2,
             )
-        cluster.vms["T1.1"] = VmState("T1.1", "T1", "g1", "o1")
-        cluster.vms["T2.1"] = VmState("T2.1", "T2", "g1", "o1")
-        cluster.vms["T1.2"] = VmState("T1.2", "T1", "g2", "o2")
+        cluster.add_vm(VmState("T1.1", "T1", "g1", "o1"))
+        cluster.add_vm(VmState("T2.1", "T2", "g1", "o1"))
+        cluster.add_vm(VmState("T1.2", "T1", "g2", "o2"))
         view = make_view(
             compute=["o1", "o2", "n1"], for_old=["o1", "o2"], for_new=["n1"],
             used=["o1", "o2"], used_old=["o1", "o2"], used_new=[], partitioned=True,
