@@ -10,7 +10,7 @@ from pathlib import Path
 from upgradesim import metrics as metrics_mod
 from upgradesim.actions import seconds_to_ms
 from upgradesim.coordinator import Phase
-from upgradesim.errors import UpgradeSimError
+from upgradesim.errors import EvacuationInfeasibleError, UpgradeSimError
 from upgradesim.rolling import RollingBaselineConfig, run_rolling_baseline
 from upgradesim.scenario import (
     build_cluster,
@@ -31,6 +31,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _batch_sizes(text: str) -> list[int]:
+    """``--batch-sizes``: comma-separated positive integers."""
+    parts = [part.strip() for part in text.split(",") if part.strip()]
+    for part in parts:
+        if not part.isdecimal() or int(part) < 1:
+            raise argparse.ArgumentTypeError(f"batch size {part!r} is not a positive integer")
+    return [int(part) for part in parts]
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="upgradesim", description=__doc__)
     parser.add_argument("--scenario", required=True, help="path to a scenario JSON file")
@@ -42,6 +51,7 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--batch-size", type=int, default=None, help="rolling batch size")
     parser.add_argument(
         "--batch-sizes",
+        type=_batch_sizes,
         default="1,2,3,4",
         help="comma-separated rolling batch sizes for compare mode",
     )
@@ -94,21 +104,18 @@ def run_coordinator_mode(scenario, args, out: Path) -> int:
     return EXIT_OK if completed else EXIT_CHANGE_SET_FAILED
 
 
-def _rolling_result(scenario, args, batch_size: int):
-    cluster = build_cluster(scenario)
-    timing = build_timing(scenario)
-    cfg = RollingBaselineConfig(
+def _rolling_config(args, batch_size: int) -> RollingBaselineConfig:
+    return RollingBaselineConfig(
         batch_size=batch_size,
         order_policy=args.order_policy,
         seed=args.seed if args.seed is not None else 0,
     )
-    return run_rolling_baseline(cluster, cfg, timing)
 
 
 def run_rolling_mode(scenario, args, out: Path) -> int:
-    if args.batch_size is None:
-        raise SystemExit(EXIT_USAGE)
-    result = _rolling_result(scenario, args, args.batch_size)
+    result = run_rolling_baseline(
+        build_cluster(scenario), _rolling_config(args, args.batch_size), build_timing(scenario)
+    )
     row = metrics_mod.comparison_row(
         f"rolling-batch-{args.batch_size}", result.average_duration_s, result.penalty_reports()
     )
@@ -117,6 +124,7 @@ def run_rolling_mode(scenario, args, out: Path) -> int:
         "mode": "rolling",
         "batch_size": args.batch_size,
         "orderings": len(result.runs),
+        "infeasible_orderings": result.infeasible_orderings,
         "avg_duration_s": result.average_duration_s,
         "avg_evacuation_rounds": result.average_evacuation_rounds,
         "avg_vm_migrations": result.average_vm_migrations,
@@ -141,8 +149,16 @@ def run_compare_mode(scenario, args, out: Path) -> int:
             [metrics_mod.penalty_report(violations, tenants)],
         )
     )
-    for batch_size in [int(b) for b in args.batch_sizes.split(",") if b.strip()]:
-        rolling = _rolling_result(scenario, args, batch_size)
+    cluster = build_cluster(scenario)
+    timing = build_timing(scenario)
+    infeasible = []
+    for batch_size in args.batch_sizes:
+        try:
+            rolling = run_rolling_baseline(cluster, _rolling_config(args, batch_size), timing)
+        except EvacuationInfeasibleError as exc:
+            sys.stderr.write(f"warning: rolling batch size {batch_size} skipped: {exc}\n")
+            infeasible.append(batch_size)
+            continue
         rows.append(
             metrics_mod.comparison_row(
                 f"rolling-batch-{batch_size}",
@@ -150,16 +166,11 @@ def run_compare_mode(scenario, args, out: Path) -> int:
                 rolling.penalty_reports(),
             )
         )
+    summary = {"scenario": scenario.name, "mode": "compare", "rows": [r.as_dict() for r in rows]}
+    if infeasible:
+        summary["infeasible_batch_sizes"] = infeasible
     _write(out / "comparison.csv", metrics_mod.comparison_csv(rows))
-    _write(
-        out / "metrics.json",
-        json.dumps(
-            {"scenario": scenario.name, "mode": "compare", "rows": [r.as_dict() for r in rows]},
-            sort_keys=True,
-            indent=2,
-        )
-        + "\n",
-    )
+    _write(out / "metrics.json", json.dumps(summary, sort_keys=True, indent=2) + "\n")
     _write(out / "reports.jsonl", "".join(r.to_json() + "\n" for r in result.reports))
     _write(out / "events.jsonl", result.log.to_jsonl())
     completed = result.phase == Phase.TERMINATED and result.all_completed()

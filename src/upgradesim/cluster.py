@@ -28,10 +28,8 @@ def host_kind(roles: frozenset[str]) -> str:
 
 
 def _copy(obj, **changes):
-    """A shallow copy of a dataclass instance, with ``changes`` applied.
-
-    Half the cost of ``copy.copy``; the rolling baseline clones the cluster
-    once per host ordering."""
+    """A shallow copy of a dataclass instance, with ``changes`` applied, at
+    half the cost of ``copy.copy``."""
     twin = object.__new__(type(obj))
     twin.__dict__.update(obj.__dict__, **changes)
     return twin

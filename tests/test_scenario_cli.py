@@ -152,3 +152,90 @@ def test_comparison_script_prints_the_cli_compare_rows(tmp_path, monkeypatch, ca
     assert [line.split() for line in printed[start : start + len(rows)]] == [
         row.split(",") for row in rows
     ]
+
+
+# comparison.csv of `--mode compare --seed 7`, as written before the rolling
+# baseline moved off cloned clusters; the rows must not change
+PINNED_COMPARE_SEED_7 = {
+    "table1-scenario-a.json": """\
+method,total_duration_s,violations_min,violations_max,impacted_min,impacted_max,avg_total_violation_s,penalty_q
+coordinator,233.92,1.0,3.0,1,1,1.35,1.35
+rolling-batch-1,548.0,1.12,3.38,1,1,1.5,1.5
+rolling-batch-2,308.62,1.21,3.17,1,2,1.45,2.0
+rolling-batch-3,247.6,1.28,2.94,1,3,1.38,2.55
+rolling-batch-4,191.77,1.37,2.71,1,3,1.32,3.15
+""",
+    "table1-scenario-b.json": """\
+method,total_duration_s,violations_min,violations_max,impacted_min,impacted_max,avg_total_violation_s,penalty_q
+coordinator,238.69,3.0,5.0,1,1,2.25,2.25
+rolling-batch-1,594.0,3.23,5.59,1,1,2.48,2.48
+rolling-batch-2,316.67,3.01,4.44,1,2,2.17,3.82
+rolling-batch-3,251.86,2.83,3.62,1,3,1.9,5.31
+rolling-batch-4,192.0,2.58,2.98,1,4,1.66,7.13
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_COMPARE_SEED_7))
+def test_table1_compare_rows_are_pinned(name, tmp_path):
+    out = tmp_path / "out"
+    code = main(["--scenario", str(SCENARIO_DIR / name), "--mode", "compare",
+                 "--seed", "7", "--out", str(out)])
+    assert code == EXIT_OK
+    assert (out / "comparison.csv").read_text() == PINNED_COMPARE_SEED_7[name]
+    assert "infeasible_batch_sizes" not in json.loads((out / "metrics.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "name, infeasible",
+    [("ppu-storage.json", [2, 3, 4]), ("suspension.json", [1, 2, 3, 4])],
+)
+def test_compare_mode_skips_infeasible_batch_sizes(name, infeasible, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["--scenario", str(SCENARIO_DIR / name), "--mode", "compare",
+                 "--out", str(out)])
+    assert code == EXIT_OK  # the coordinator completes on both
+    assert sorted(p.name for p in out.iterdir()) == [
+        "comparison.csv", "events.jsonl", "metrics.json", "reports.jsonl",
+    ]
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["infeasible_batch_sizes"] == infeasible
+    methods = [row["method"] for row in metrics["rows"]]
+    assert methods == ["coordinator"] + [
+        f"rolling-batch-{b}" for b in (1, 2, 3, 4) if b not in infeasible
+    ]
+    assert (out / "comparison.csv").read_text().count("\n") == 1 + len(methods)
+    err = capsys.readouterr().err
+    assert all(f"rolling batch size {b} skipped" in err for b in infeasible)
+
+
+def test_rolling_mode_still_fails_when_every_ordering_is_infeasible(tmp_path):
+    code = main(["--scenario", str(SCENARIO_DIR / "suspension.json"), "--mode", "rolling",
+                 "--batch-size", "1", "--out", str(tmp_path / "out")])
+    assert code == EXIT_CHANGE_SET_FAILED
+
+
+@pytest.mark.parametrize("sizes", ["1,x", "2,0", "1,-3"])
+def test_bad_batch_sizes_are_usage_errors(sizes, tmp_path, capsys):
+    bad = sizes.split(",")[1]
+    code = main(["--scenario", str(SCENARIO_DIR / "table1-scenario-a.json"),
+                 "--mode", "compare", "--batch-sizes", sizes, "--out", str(tmp_path / "o")])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"batch size {bad!r}" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_rolling_mode_counts_infeasible_orderings(tmp_path):
+    # h1 holds groups a and b, h3 another b: two of the six orderings strand a VM
+    vms = [{"id": "T1.0", "host": "h1", "group": "a"}, {"id": "T1.1", "host": "h1", "group": "b"},
+           {"id": "T1.2", "host": "h2", "group": "c"}, {"id": "T1.3", "host": "h3", "group": "b"}]
+    tenants = [{"id": "T1", "min_vms": 1, "max_vms": 8, "scaling_adjustment": 1,
+                "cooldown_seconds": 600, "vms": vms}]
+    path = tmp_path / "partial.json"
+    path.write_text(toy_scenario(host_count=3, capacity=2, tenants=tenants).to_json())
+    code = main(["--scenario", str(path), "--mode", "rolling", "--batch-size", "1",
+                 "--order-policy", "enumerate-all", "--out", str(tmp_path / "out")])
+    assert code == EXIT_OK
+    metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
+    assert (metrics["orderings"], metrics["infeasible_orderings"]) == (6, 2)
