@@ -101,9 +101,6 @@ class RuntimeUpgradeSchedule:
                     )
                 seen.add(target)
 
-    def is_empty(self) -> bool:
-        return all(not lane.steps for lane in self.lanes)
-
     def describe(self) -> dict:
         return {
             "schedule_id": self.schedule_id,

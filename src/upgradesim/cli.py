@@ -31,13 +31,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _batch_size(text: str) -> int:
+    """``--batch-size``: a positive integer."""
+    text = text.strip()
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"batch size {text!r} is not a positive integer")
+    return int(text)
+
+
 def _batch_sizes(text: str) -> list[int]:
     """``--batch-sizes``: comma-separated positive integers."""
-    parts = [part.strip() for part in text.split(",") if part.strip()]
-    for part in parts:
-        if not part.isdecimal() or int(part) < 1:
-            raise argparse.ArgumentTypeError(f"batch size {part!r} is not a positive integer")
-    return [int(part) for part in parts]
+    return [_batch_size(part) for part in text.split(",") if part.strip()]
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -48,7 +52,7 @@ def make_parser() -> argparse.ArgumentParser:
         choices=["coordinator", "rolling", "compare"],
         default="coordinator",
     )
-    parser.add_argument("--batch-size", type=int, default=None, help="rolling batch size")
+    parser.add_argument("--batch-size", type=_batch_size, default=None, help="rolling batch size")
     parser.add_argument(
         "--batch-sizes",
         type=_batch_sizes,
@@ -73,7 +77,12 @@ def _write(path: Path, content: str) -> None:
     path.write_text(content)
 
 
-def run_coordinator_mode(scenario, args, out: Path) -> int:
+def _run_coordinator(scenario, args, out: Path):
+    """Run the coordinator and write ``reports.jsonl`` and ``events.jsonl``.
+
+    Returns the result, the sorted tenant ids, the penalty report and the
+    exit code: OK only when the run terminated with every set completed.
+    """
     coordinator = build_coordinator(scenario, seed_override=args.seed)
     cap = seconds_to_ms(args.max_sim_time) if args.max_sim_time is not None else None
     result = coordinator.run(max_sim_time_ms=cap)
@@ -82,6 +91,12 @@ def run_coordinator_mode(scenario, args, out: Path) -> int:
     tenants = sorted(coordinator.cluster.tenants)
     violations = metrics_mod.compute_sla_violations(result.log, tenants)
     report = metrics_mod.penalty_report(violations, tenants)
+    completed = result.phase == Phase.TERMINATED and result.all_completed()
+    return result, tenants, report, EXIT_OK if completed else EXIT_CHANGE_SET_FAILED
+
+
+def run_coordinator_mode(scenario, args, out: Path) -> int:
+    result, tenants, report, code = _run_coordinator(scenario, args, out)
     summary = {
         "scenario": scenario.name,
         "mode": "coordinator",
@@ -100,8 +115,7 @@ def run_coordinator_mode(scenario, args, out: Path) -> int:
         "penalty_q": report.average_penalty_q,
     }
     _write(out / "metrics.json", json.dumps(summary, sort_keys=True, indent=2) + "\n")
-    completed = result.phase == Phase.TERMINATED and result.all_completed()
-    return EXIT_OK if completed else EXIT_CHANGE_SET_FAILED
+    return code
 
 
 def _rolling_config(args, batch_size: int) -> RollingBaselineConfig:
@@ -136,19 +150,8 @@ def run_rolling_mode(scenario, args, out: Path) -> int:
 
 
 def run_compare_mode(scenario, args, out: Path) -> int:
-    rows = []
-    coordinator = build_coordinator(scenario, seed_override=args.seed)
-    cap = seconds_to_ms(args.max_sim_time) if args.max_sim_time is not None else None
-    result = coordinator.run(max_sim_time_ms=cap)
-    tenants = sorted(coordinator.cluster.tenants)
-    violations = metrics_mod.compute_sla_violations(result.log, tenants)
-    rows.append(
-        metrics_mod.comparison_row(
-            "coordinator",
-            result.duration_ms / 1000,
-            [metrics_mod.penalty_report(violations, tenants)],
-        )
-    )
+    result, _, report, code = _run_coordinator(scenario, args, out)
+    rows = [metrics_mod.comparison_row("coordinator", result.duration_ms / 1000, [report])]
     cluster = build_cluster(scenario)
     timing = build_timing(scenario)
     infeasible = []
@@ -171,10 +174,7 @@ def run_compare_mode(scenario, args, out: Path) -> int:
         summary["infeasible_batch_sizes"] = infeasible
     _write(out / "comparison.csv", metrics_mod.comparison_csv(rows))
     _write(out / "metrics.json", json.dumps(summary, sort_keys=True, indent=2) + "\n")
-    _write(out / "reports.jsonl", "".join(r.to_json() + "\n" for r in result.reports))
-    _write(out / "events.jsonl", result.log.to_jsonl())
-    completed = result.phase == Phase.TERMINATED and result.all_completed()
-    return EXIT_OK if completed else EXIT_CHANGE_SET_FAILED
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:

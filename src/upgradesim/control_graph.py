@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from upgradesim.resource_graph import (
     DependencyKind,
     ExecutionLevel,
-    ModificationType,
     Presence,
     ResourceGraph,
     UpgradeMethod,
@@ -29,15 +28,6 @@ class GroupEdge:
     kind: DependencyKind
     presence: Presence
     incompatible: bool
-
-    def describe(self) -> dict:
-        return {
-            "source": self.source,
-            "target": self.target,
-            "kind": self.kind.value,
-            "presence": self.presence.value,
-            "incompatible": self.incompatible,
-        }
 
 
 @dataclass
@@ -64,30 +54,8 @@ class ResourceGroup:
         merged = self.merged_levels(rg)
         return merged[0] if merged else []
 
-    def modification_types(self, rg: ResourceGraph) -> set[ModificationType]:
-        return {
-            rg.resources[m].modification_type
-            for m in self.members
-            if m in rg.resources
-        }
-
     def has_remaining_changes(self, rg: ResourceGraph) -> bool:
         return any(rg.resources[m].levels for m in self.members if m in rg.resources)
-
-    def any_deactivated(self, rg: ResourceGraph) -> bool:
-        return any(
-            not rg.resources[m].active
-            for m in self.members
-            if m in rg.resources and rg.resources[m].present
-        )
-
-    def describe(self, rg: ResourceGraph) -> dict:
-        return {
-            "group_id": self.group_id,
-            "members": list(self.members),
-            "modification_types": sorted(t.value for t in self.modification_types(rg)),
-            "level_count": len(self.merged_levels(rg)),
-        }
 
 
 class ControlGraph:
@@ -98,12 +66,6 @@ class ControlGraph:
         for group in groups.values():
             for member in group.members:
                 self.group_of[member] = group.group_id
-
-    def describe(self, rg: ResourceGraph) -> dict:
-        return {
-            "groups": [self.groups[k].describe(rg) for k in sorted(self.groups)],
-            "edges": [e.describe() for e in self.edges],
-        }
 
 
 class _DisjointSet:
@@ -185,12 +147,3 @@ def coarsen(rg: ResourceGraph) -> ControlGraph:
         seen.add(key)
         edges.append(GroupEdge(src, dst, edge.kind, edge.presence, edge.incompatible))
     return ControlGraph(groups, edges)
-
-
-def update_control_graph(cg: ControlGraph, rg: ResourceGraph) -> ControlGraph:
-    """Bring the control graph in line with the resource graph.
-
-    Groups are recomputed from scratch; ids are content-derived, so groups
-    whose member set did not change keep their id.
-    """
-    return coarsen(rg)

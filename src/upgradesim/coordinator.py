@@ -10,10 +10,13 @@ from dataclasses import dataclass, field
 from upgradesim import vm_migration
 from upgradesim.catalog import UpgradeCatalog
 from upgradesim.cluster import ClusterState
-from upgradesim.control_graph import ControlGraph, coarsen, update_control_graph
+from upgradesim.control_graph import ControlGraph, coarsen
 from upgradesim.engine import Engine, EventLog, FailureModel, ScenarioEvent
 from upgradesim.planner import (
     Batch,
+    Elimination,
+    IterationBudget,
+    PartitionView,
     Policies,
     TimingConstants,
     build_consolidation_schedule,
@@ -102,7 +105,6 @@ class Coordinator:
         self.engine = Engine(cluster, events, failure_model, timing)
         self.model = UpgradeRequestModel()
         self.rg: ResourceGraph | None = None
-        self.cg: ControlGraph | None = None
         self.phase = Phase.RUNNING
         self.iteration = 0
         self.reports: list[UpgradeIterationReport] = []
@@ -156,11 +158,6 @@ class Coordinator:
             return True
         return self.rg is not None and self.rg.has_pending_levels()
 
-    def _work_could_arrive(self) -> bool:
-        if self.engine.pending_requests:
-            return True
-        return any(e.kind == "upgrade-request" for e in self.engine._queue)
-
     # -- public operations ------------------------------------------------------------
 
     def check_suspension_resume(self) -> Phase:
@@ -173,24 +170,14 @@ class Coordinator:
         if plan_consolidation(self.cluster, self.rg, view, self.catalog):
             self.phase = Phase.RUNNING
             return self.phase
-        cg = coarsen(self.rg)
-        batch, _ = initial_batch(
-            cg, self.rg, self.cluster, self.catalog, view, self.policies
-        )
-        levels = [lvl for _, lvl in self._batch_first_levels(cg, batch)]
-        budget = compute_budget(self.cluster, view, levels, self.policies)
-        final = select_final_batch(batch, cg, self.rg, self.cluster, view, budget, self.policies)
-        if final.groups:
+        *_, final = self._plan_batch(coarsen(self.rg), view)
+        migration = self._migration_budget(view)
+        if final.groups or (
+            migration is not None
+            and migration.migratable_vms > 0
+            and self._plan_wave(view, migration, migration.migratable_vms, 0).vms
+        ):
             self.phase = Phase.RUNNING
-            return self.phase
-        if view.partitioned and view.new_side_ready:
-            migration = vm_migration.compute_migration_budget(
-                self.cluster, view, self.policies, self.timing
-            )
-            if migration.migratable_vms > 0 and vm_migration.plan_first_wave(
-                self.cluster, view, migration, self.timing
-            ).vms:
-                self.phase = Phase.RUNNING
         return self.phase
 
     def finalize_change_set(self, set_id: str) -> Status:
@@ -237,9 +224,6 @@ class Coordinator:
             self._ingest_events()
             if not self._has_pending_work():
                 nxt = self.engine.next_event_at()
-                if nxt is None and not self._work_could_arrive():
-                    self.phase = Phase.TERMINATED
-                    break
                 if nxt is None:
                     self.phase = Phase.TERMINATED
                     break
@@ -283,12 +267,47 @@ class Coordinator:
                 times.append(cs.deadline_ms() + 1)
         return min(times) if times else None
 
-    def _batch_first_levels(self, cg: ControlGraph, batch: Batch):
+    # -- planning shared by run_iteration and check_suspension_resume ---------------
+
+    def _plan_batch(
+        self, cg: ControlGraph, view: PartitionView
+    ) -> tuple[Batch, list[Elimination], IterationBudget, Batch]:
+        """Initial batch with its eliminations, the SLA budget of its first
+        levels, and the final batch that fits the budget."""
         assert self.rg is not None
-        out = []
-        for group_id in batch.groups:
-            out.extend(cg.groups[group_id].first_levels(self.rg))
-        return out
+        batch, eliminations = initial_batch(
+            cg, self.rg, self.cluster, self.catalog, view, self.policies
+        )
+        levels = [
+            lvl for gid in batch.groups for _, lvl in cg.groups[gid].first_levels(self.rg)
+        ]
+        budget = compute_budget(self.cluster, view, levels, self.policies)
+        final = select_final_batch(batch, cg, self.rg, self.cluster, view, budget, self.policies)
+        return batch, eliminations, budget, final
+
+    def _migration_budget(self, view: PartitionView) -> vm_migration.MigrationBudget | None:
+        """The cross-partition budget, sized with the per-VM upgrade time; None
+        unless compute hosts are partitioned and the new side is ready."""
+        if not (view.partitioned and view.new_side_ready):
+            return None
+        return vm_migration.compute_migration_budget(
+            self.cluster,
+            view,
+            self.policies,
+            self.timing,
+            per_vm_extra_ms=self.vm_upgrade[2] if self.vm_upgrade else 0,
+        )
+
+    def _plan_wave(
+        self,
+        view: PartitionView,
+        budget: vm_migration.MigrationBudget,
+        remaining: int,
+        index: int,
+    ) -> vm_migration.SubIteration:
+        """One VM wave, shrunk until the new side can absorb it."""
+        sub = vm_migration.select_sub_iteration(self.cluster, view, remaining, index)
+        return vm_migration.reevaluate_new_reservation(sub, self.cluster, view, budget)
 
     def run_iteration(self) -> UpgradeIterationReport:
         """One pass of the four planning steps plus schedule execution."""
@@ -315,10 +334,7 @@ class Coordinator:
         report.failed_undo_units.extend(effects.undo_triggered)
         refresh_structure(self.rg, self.cluster, self.model, self.catalog)
 
-        # Step 2: coarsen into the control graph
-        self.cg = coarsen(self.rg) if self.cg is None else update_control_graph(self.cg, self.rg)
-
-        # Step 3: consolidation, batch selection, execution, immediate recovery
+        # Step 2: consolidation
         view = build_partition_view(self.cluster, self.rg, self.catalog)
         plan = plan_consolidation(self.cluster, self.rg, view, self.catalog)
         if plan:
@@ -328,20 +344,15 @@ class Coordinator:
             outcomes = self.engine.execute_schedule(schedule)
             report.consolidation = [o.describe() for o in outcomes]
             refresh_structure(self.rg, self.cluster, self.model, self.catalog)
-            self.cg = update_control_graph(self.cg, self.rg)
             view = build_partition_view(self.cluster, self.rg, self.catalog)
 
-        batch, eliminations = initial_batch(
-            self.cg, self.rg, self.cluster, self.catalog, view, self.policies
-        )
+        # Step 3: coarsen into the control graph, batch selection, execution,
+        # immediate recovery
+        cg = coarsen(self.rg)
+        batch, eliminations, budget, final = self._plan_batch(cg, view)
         report.initial_batch = sorted(batch.groups)
         report.eliminations = [e.describe() for e in eliminations]
-        levels = [lvl for _, lvl in self._batch_first_levels(self.cg, batch)]
-        budget = compute_budget(self.cluster, view, levels, self.policies)
         report.budget = budget.describe()
-        final = select_final_batch(
-            batch, self.cg, self.rg, self.cluster, view, budget, self.policies
-        )
         report.final_batch = sorted(final.groups)
 
         executed_any = bool(plan)
@@ -349,7 +360,7 @@ class Coordinator:
             executed_any = True
             schedule = build_schedule(
                 final,
-                self.cg,
+                cg,
                 self.rg,
                 self.cluster,
                 view,
@@ -380,27 +391,17 @@ class Coordinator:
                     self._realize_isolation(target)
                     report.failed_resources.append(target)
             refresh_structure(self.rg, self.cluster, self.model, self.catalog)
-            self.cg = update_control_graph(self.cg, self.rg)
 
         # Step 4: cross-partition VM waves
         view = build_partition_view(self.cluster, self.rg, self.catalog)
-        if view.partitioned and view.new_side_ready:
-            migration_budget = vm_migration.compute_migration_budget(
-                self.cluster,
-                view,
-                self.policies,
-                self.timing,
-                per_vm_extra_ms=self.vm_upgrade[2] if self.vm_upgrade else 0,
-            )
+        migration_budget = self._migration_budget(view)
+        if migration_budget is not None:
             report.migration_budget = migration_budget.describe()
             remaining = migration_budget.migratable_vms
             wave = 0
             while remaining > 0:
                 view = build_partition_view(self.cluster, self.rg, self.catalog)
-                sub = vm_migration.select_sub_iteration(self.cluster, view, remaining, wave)
-                sub = vm_migration.reevaluate_new_reservation(
-                    sub, self.cluster, view, migration_budget, self.timing
-                )
+                sub = self._plan_wave(view, migration_budget, remaining, wave)
                 if not sub.vms:
                     break
                 schedule = vm_migration.build_vm_schedule(
@@ -451,7 +452,6 @@ class Coordinator:
                 remaining -= migrated
                 wave += 1
             refresh_structure(self.rg, self.cluster, self.model, self.catalog)
-            self.cg = update_control_graph(self.cg, self.rg)
         self.engine.check_vm_service_continuity()
 
         # finalization and report assembly; an undo issued while schedules

@@ -234,6 +234,13 @@ class Engine:
         if kind == ActionKind.SPAWN_VM:
             self._apply_spawn(action, end)
             return
+        if kind == ActionKind.INSTALL and "vm" in action.params:
+            vm = self.cluster.vms.get(action.params["vm"])
+            if vm is None:
+                raise UnknownResourceError(f"upgrade of unknown vm {action.params['vm']!r}")
+            vm.version = action.params["version"]
+            self.log.emit(end, "vm-upgraded", vm=vm.vm_id, version=vm.version)
+            return
         res = self.cluster.resources.get(action.target)
         if res is None:
             raise UnknownResourceError(f"action targets unknown resource {action.target!r}")

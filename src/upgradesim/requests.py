@@ -58,9 +58,6 @@ class Change:
     source_state: dict[str, tuple[str, str] | None] = field(default_factory=dict)
     applied: set[str] = field(default_factory=set)  # resources where this change completed
 
-    def effective_targets(self) -> tuple[str, ...]:
-        return self.targets
-
 
 @dataclass
 class ChangeSet:
@@ -237,10 +234,3 @@ class UpgradeRequestModel:
 
     def any_pending(self) -> bool:
         return bool(self.pending_sets())
-
-    def set_of_change(self, change_id: str) -> ChangeSet | None:
-        for change_set in self.sets.values():
-            for change in change_set.changes:
-                if change.change_id == change_id:
-                    return change_set
-        return None

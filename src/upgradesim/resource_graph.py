@@ -63,18 +63,6 @@ class Dependency:
     incompatible: bool = False
     min_sponsors: int | None = None
 
-    def describe(self) -> dict:
-        out = {
-            "source": self.source,
-            "target": self.target,
-            "kind": self.kind.value,
-            "presence": self.presence.value,
-            "incompatible": self.incompatible,
-        }
-        if self.min_sponsors is not None:
-            out["min_sponsors"] = self.min_sponsors
-        return out
-
 
 @dataclass
 class ExecutionLevel:
@@ -93,17 +81,6 @@ class ExecutionLevel:
 
     def undo_duration_ms(self) -> int:
         return sum(a.duration_ms for a in self.undo_actions)
-
-    def describe(self) -> dict:
-        return {
-            "change_id": self.change_id,
-            "set_id": self.set_id,
-            "unit_id": self.unit_id,
-            "kind": self.kind,
-            "is_undo": self.is_undo,
-            "actions": [a.describe() for a in self.actions],
-            "undo_actions": [a.describe() for a in self.undo_actions],
-        }
 
 
 @dataclass
@@ -141,23 +118,6 @@ class Resource:
     def first_level(self) -> ExecutionLevel | None:
         return self.levels[0] if self.levels else None
 
-    def describe(self) -> dict:
-        return {
-            "resource_id": self.resource_id,
-            "kind": self.kind,
-            "roles": sorted(self.roles),
-            "active": self.active,
-            "up": self.up,
-            "present": self.present,
-            "current": list(self.current) if self.current else None,
-            "modification_type": self.modification_type.value,
-            "undo_unit_ids": sorted(self.undo_unit_ids),
-            "failed_attempts": dict(sorted(self.failed_attempts.items())),
-            "is_isolated": self.is_isolated,
-            "is_failed": self.is_failed,
-            "levels": [lvl.describe() for lvl in self.levels],
-        }
-
 
 @dataclass
 class UpgradeUnit:
@@ -167,16 +127,6 @@ class UpgradeUnit:
     change_ids: frozenset[str]
     partitions: tuple[tuple[str, ...], tuple[str, ...]] | None = None
     switchover_done: bool = False
-
-    def describe(self) -> dict:
-        return {
-            "unit_id": self.unit_id,
-            "method": self.method.value,
-            "members": sorted(self.members),
-            "change_ids": sorted(self.change_ids),
-            "partitions": [list(p) for p in self.partitions] if self.partitions else None,
-            "switchover_done": self.switchover_done,
-        }
 
 
 @dataclass
@@ -202,18 +152,6 @@ class ResourceGraph:
     def edges_to(self, resource_id: str) -> list[Dependency]:
         return self._in.get(resource_id, [])
 
-    def unit_of_level(self, level: ExecutionLevel) -> UpgradeUnit:
-        unit = self.upgrade_units.get(level.unit_id)
-        if unit is None:
-            # singleton rolling unit, materialized lazily
-            unit = UpgradeUnit(
-                unit_id=level.unit_id,
-                method=UpgradeMethod.ROLLING,
-                members=frozenset({level.unit_id.rsplit(":", 1)[-1]}),
-                change_ids=frozenset({level.change_id}),
-            )
-        return unit
-
     def pending_unit_work(self, unit_id: str) -> bool:
         for res in self.resources.values():
             for level in res.levels:
@@ -224,91 +162,12 @@ class ResourceGraph:
     def has_pending_levels(self) -> bool:
         return any(res.levels for res in self.resources.values())
 
-    # -- serialization -----------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "resources": [self.resources[k].describe() for k in sorted(self.resources)],
-            "edges": [e.describe() for e in self.edges],
-            "upgrade_units": [self.upgrade_units[k].describe() for k in sorted(self.upgrade_units)],
-            "undo_units": [
-                {"unit_id": u.unit_id, "members": sorted(u.members)}
-                for u in (self.undo_units[k] for k in sorted(self.undo_units))
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ResourceGraph":
-        rg = cls()
-        for rd in data["resources"]:
-            res = Resource(
-                resource_id=rd["resource_id"],
-                kind=rd["kind"],
-                roles=frozenset(rd["roles"]),
-                active=rd["active"],
-                up=rd["up"],
-                present=rd["present"],
-                current=tuple(rd["current"]) if rd["current"] else None,
-                is_isolated=rd["is_isolated"],
-                is_failed=rd["is_failed"],
-            )
-            res.undo_unit_ids = set(rd["undo_unit_ids"])
-            res.failed_attempts = dict(rd["failed_attempts"])
-            res.levels = [_level_from_dict(ld) for ld in rd["levels"]]
-            rg.resources[res.resource_id] = res
-        rg.edges = [
-            Dependency(
-                source=ed["source"],
-                target=ed["target"],
-                kind=DependencyKind(ed["kind"]),
-                presence=Presence(ed["presence"]),
-                incompatible=ed["incompatible"],
-                min_sponsors=ed.get("min_sponsors"),
-            )
-            for ed in data["edges"]
-        ]
-        for ud in data["upgrade_units"]:
-            rg.upgrade_units[ud["unit_id"]] = UpgradeUnit(
-                unit_id=ud["unit_id"],
-                method=UpgradeMethod(ud["method"]),
-                members=frozenset(ud["members"]),
-                change_ids=frozenset(ud["change_ids"]),
-                partitions=tuple(tuple(p) for p in ud["partitions"]) if ud["partitions"] else None,
-                switchover_done=ud["switchover_done"],
-            )
-        for ud in data["undo_units"]:
-            rg.undo_units[ud["unit_id"]] = UndoUnit(ud["unit_id"], set(ud["members"]))
-        rg._reindex()
-        return rg
-
     def _reindex(self) -> None:
         self._out = {}
         self._in = {}
         for edge in self.edges:
             self._out.setdefault(edge.source, []).append(edge)
             self._in.setdefault(edge.target, []).append(edge)
-
-
-def _action_from_dict(ad: dict) -> ResolvedAction:
-    return ResolvedAction(
-        action_id=ad["action_id"],
-        kind=ActionKind(ad["kind"]),
-        target=ad["target"],
-        duration_ms=ad["duration_ms"],
-        params=dict(ad.get("params", {})),
-    )
-
-
-def _level_from_dict(ld: dict) -> ExecutionLevel:
-    return ExecutionLevel(
-        change_id=ld["change_id"],
-        set_id=ld["set_id"],
-        unit_id=ld["unit_id"],
-        kind=ld["kind"],
-        actions=tuple(_action_from_dict(a) for a in ld["actions"]),
-        undo_actions=tuple(_action_from_dict(a) for a in ld["undo_actions"]),
-        is_undo=ld["is_undo"],
-    )
 
 
 # -- building and refreshing ------------------------------------------------------

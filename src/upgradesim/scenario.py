@@ -52,9 +52,6 @@ class Scenario:
     def name(self) -> str:
         return self.data["name"]
 
-    def to_dict(self) -> dict:
-        return json.loads(json.dumps(self.data, sort_keys=True))
-
     def to_json(self) -> str:
         return json.dumps(self.data, sort_keys=True, indent=2) + "\n"
 
@@ -251,7 +248,17 @@ def parse_scenario(raw: dict) -> Scenario:
         timing[key] = value
     data["timing"] = timing
 
-    data["vm_upgrade"] = _get(raw, "vm_upgrade", "$", dict, default=None)
+    vm_upgrade = _get(raw, "vm_upgrade", "$", dict, default=None)
+    if vm_upgrade is not None:
+        path = "$.vm_upgrade"
+        vm_upgrade = {
+            "product": _get(vm_upgrade, "product", path, str),
+            "version": _get(vm_upgrade, "version", path, str),
+            "duration_seconds": _get(vm_upgrade, "duration_seconds", path, (int, float)),
+        }
+        if vm_upgrade["duration_seconds"] <= 0:
+            raise _fail(f"{path}.duration_seconds", "must be positive")
+    data["vm_upgrade"] = vm_upgrade
     return Scenario(data=data)
 
 

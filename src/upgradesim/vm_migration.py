@@ -173,8 +173,6 @@ def reevaluate_new_reservation(
     cluster: ClusterState,
     view: PartitionView,
     budget: MigrationBudget,
-    timing: TimingConstants,
-    per_vm_extra_ms: int = 0,
 ) -> SubIteration:
     """Shrink the batch until the new side can absorb it and the scaling
     reservation of tenants crossing over. Lowest-ranked groups drop first."""
@@ -201,18 +199,6 @@ def reevaluate_new_reservation(
         vms.pop()
         groups.pop()
     return SubIteration(index=sub.index, vms=tuple(vms), groups=tuple(groups))
-
-
-def plan_first_wave(
-    cluster: ClusterState,
-    view: PartitionView,
-    budget: MigrationBudget,
-    timing: TimingConstants,
-) -> SubIteration:
-    """The first sub-iteration after reservation re-evaluation; empty when the
-    new side cannot actually absorb any VM yet."""
-    sub = select_sub_iteration(cluster, view, budget.migratable_vms, 0)
-    return reevaluate_new_reservation(sub, cluster, view, budget, timing)
 
 
 def build_vm_schedule(

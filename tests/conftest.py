@@ -112,3 +112,10 @@ def toy_scenario(
 
 def scenario_json(scenario: Scenario) -> dict:
     return json.loads(scenario.to_json())
+
+
+def ppu_vm_upgrade_json(duration_seconds: float) -> dict:
+    """ppu-storage with each VM crossing to the new side upgraded to image 2."""
+    data = json.loads((SCENARIO_DIR / "ppu-storage.json").read_text())
+    data["vm_upgrade"] = {"product": "image", "version": "2", "duration_seconds": duration_seconds}
+    return data

@@ -1,4 +1,4 @@
-from upgradesim.control_graph import coarsen, update_control_graph
+from upgradesim.control_graph import coarsen
 from upgradesim.resource_graph import DependencyKind, UpgradeMethod
 
 from conftest import toy_scenario
@@ -75,21 +75,11 @@ def test_split_mode_partitions_become_single_vertices():
     assert cg.group_of["r1"] != cg.group_of["r3"]
 
 
-def test_update_matches_full_recompute(scenario_fig1):
-    cluster, catalog, model, rg = build_env(scenario_fig1)
-    cg = coarsen(rg)
-    # drain one member's level and update
-    rg.resources["hv10"].levels.clear()
-    updated = update_control_graph(cg, rg)
-    fresh = coarsen(rg)
-    assert updated.describe(rg) == fresh.describe(rg)
-
-
 def test_group_ids_stable_across_updates(scenario_fig1):
     cluster, catalog, model, rg = build_env(scenario_fig1)
     before = coarsen(rg)
     rg.resources["hv10"].levels.clear()  # membership unchanged
-    after = update_control_graph(before, rg)
+    after = coarsen(rg)
     assert set(before.groups) == set(after.groups)
 
 
@@ -110,7 +100,7 @@ def test_removed_vertex_disappears(scenario_ppu):
     from upgradesim.resource_graph import refresh_structure
 
     refresh_structure(rg, cluster, model, catalog)
-    cg2 = update_control_graph(cg, rg)
+    cg2 = coarsen(rg)
     assert "vsan-1" not in cg2.group_of
 
 

@@ -3,7 +3,7 @@ import json
 from upgradesim.coordinator import Phase
 from upgradesim.scenario import build_coordinator, parse_scenario
 
-from conftest import scenario_json, toy_scenario
+from conftest import ppu_vm_upgrade_json, scenario_json, toy_scenario
 
 
 def run(scenario, cap_ms=50_000_000, seed=None):
@@ -81,6 +81,24 @@ class TestSuspension:
         # both hosts full and mutually unevacuable: suspended and stays so
         assert result.phase == Phase.SUSPENDED
         assert all(r.phase_after == "suspended" for r in result.reports)
+
+    def test_check_sizes_the_wave_with_the_vm_upgrade_time(self):
+        # a 20,000 s VM upgrade leaves the new side no room for a wave; the
+        # check must say so too, not resume into an iteration that does nothing
+        scenario = parse_scenario(ppu_vm_upgrade_json(20_000))
+        coordinator, result = run(scenario, cap_ms=1_000_000)
+        assert len(result.reports) <= 10
+        assert result.phase == Phase.SUSPENDED
+
+    def test_migrated_vms_are_upgraded(self):
+        coordinator, result = run(parse_scenario(ppu_vm_upgrade_json(60)))
+        assert result.phase == Phase.TERMINATED
+        assert result.set_statuses == {"cs-storage": "completed"}
+        migrated = sorted({e["vm"] for e in result.log.of_kind("vm-migrated")})
+        assert migrated
+        assert all(coordinator.cluster.vms[vm].version == "2" for vm in migrated)
+        upgraded = sorted((e["vm"], e["version"]) for e in result.log.of_kind("vm-upgraded"))
+        assert upgraded == [(vm, "2") for vm in migrated]
 
 
 class TestFailureHandling:

@@ -4,7 +4,6 @@ from upgradesim.resource_graph import (
     DependencyKind,
     ModificationType,
     Presence,
-    ResourceGraph,
     apply_iteration_outcome,
     build_resource_graph,
     merge_new_requests,
@@ -81,19 +80,6 @@ def test_every_level_has_unit_and_undo_unit(scenario_fig1):
             assert level.unit_id
             assert level.set_id in model.sets
             assert level.set_id in res.undo_unit_ids
-
-
-def test_round_trip_serialization():
-    cluster, catalog, model, rg = build_env(toy_scenario(host_count=3))
-    data = rg.to_dict()
-    clone = ResourceGraph.from_dict(data)
-    assert clone.to_dict() == data
-
-
-def test_round_trip_without_requests():
-    cluster, catalog, model, rg = build_env(toy_scenario(host_count=4), submit=False)
-    data = rg.to_dict()
-    assert ResourceGraph.from_dict(data).to_dict() == data
 
 
 class TestIterationOutcome:

@@ -8,7 +8,7 @@ from upgradesim.cli import EXIT_CHANGE_SET_FAILED, EXIT_OK, EXIT_USAGE, main
 from upgradesim.errors import ScenarioError
 from upgradesim.scenario import load_scenario, parse_scenario
 
-from conftest import SCENARIO_DIR, scenario_json, toy_scenario
+from conftest import SCENARIO_DIR, ppu_vm_upgrade_json, scenario_json, toy_scenario
 
 
 class TestLoading:
@@ -215,11 +215,16 @@ def test_rolling_mode_still_fails_when_every_ordering_is_infeasible(tmp_path):
     assert code == EXIT_CHANGE_SET_FAILED
 
 
-@pytest.mark.parametrize("sizes", ["1,x", "2,0", "1,-3"])
-def test_bad_batch_sizes_are_usage_errors(sizes, tmp_path, capsys):
-    bad = sizes.split(",")[1]
+@pytest.mark.parametrize(
+    "mode, flag, sizes",
+    [pytest.param("compare", "--batch-sizes", sizes, id=sizes) for sizes in ("1,x", "2,0", "1,-3")]
+    + [pytest.param("rolling", "--batch-size", size, id=f"batch-size={size}")
+       for size in ("0", "-2", "x")],
+)
+def test_bad_batch_sizes_are_usage_errors(mode, flag, sizes, tmp_path, capsys):
+    bad = sizes.split(",")[-1]
     code = main(["--scenario", str(SCENARIO_DIR / "table1-scenario-a.json"),
-                 "--mode", "compare", "--batch-sizes", sizes, "--out", str(tmp_path / "o")])
+                 "--mode", mode, flag, sizes, "--out", str(tmp_path / "o")])
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
     assert f"batch size {bad!r}" in err and "Traceback" not in err
@@ -239,3 +244,32 @@ def test_rolling_mode_counts_infeasible_orderings(tmp_path):
     assert code == EXIT_OK
     metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
     assert (metrics["orderings"], metrics["infeasible_orderings"]) == (6, 2)
+
+
+@pytest.mark.parametrize(
+    "spec, path",
+    [({}, "$.vm_upgrade.product"),
+     ({"product": "image", "version": 2, "duration_seconds": 5}, "$.vm_upgrade.version"),
+     ({"product": "image", "version": "2", "duration_seconds": "x"},
+      "$.vm_upgrade.duration_seconds"),
+     ({"product": "image", "version": "2", "duration_seconds": 0},
+      "$.vm_upgrade.duration_seconds")],
+)
+def test_bad_vm_upgrade_names_the_path(spec, path, tmp_path, capsys):
+    data = ppu_vm_upgrade_json(60)
+    data["vm_upgrade"] = spec
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps(data))
+    code = main(["--scenario", str(scenario), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CHANGE_SET_FAILED
+    err = capsys.readouterr().err
+    assert path in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_vm_upgrade_completes_the_migration(tmp_path):
+    scenario = tmp_path / "vm-upgrade.json"
+    scenario.write_text(json.dumps(ppu_vm_upgrade_json(60)))
+    out = tmp_path / "out"
+    assert main(["--scenario", str(scenario), "--out", str(out)]) == EXIT_OK
+    assert json.loads((out / "metrics.json").read_text())["duration_s"] == 387.38

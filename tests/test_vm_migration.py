@@ -150,7 +150,7 @@ class TestReevaluation:
         for t in cluster.tenants.values():
             t.max_vms = t.committed  # nobody can scale: nothing to re-reserve
         sub = select_sub_iteration(cluster, view, remaining=2, index=0)
-        adjusted = reevaluate_new_reservation(sub, cluster, view, self._budget(), TimingConstants())
+        adjusted = reevaluate_new_reservation(sub, cluster, view, self._budget())
         assert adjusted.vms == sub.vms
 
     def test_crossing_tenant_grows_reservation_and_shrinks_batch(self):
@@ -159,14 +159,14 @@ class TestReevaluation:
         cluster, view = cluster_with_old_vms({"T1": 1, "T2": 1}, hosts_new=1)
         sub = select_sub_iteration(cluster, view, remaining=2, index=0)
         assert len(sub.vms) == 2
-        adjusted = reevaluate_new_reservation(sub, cluster, view, self._budget(), TimingConstants())
+        adjusted = reevaluate_new_reservation(sub, cluster, view, self._budget())
         assert adjusted.vms == ()
 
     def test_shrinks_lowest_ranked_first(self):
         cluster, view = cluster_with_old_vms({"T1": 3, "T2": 1}, hosts_new=2)
         sub = select_sub_iteration(cluster, view, remaining=2, index=0)
         assert [cluster.vms[v].tenant_id for v in sub.vms] == ["T1", "T2"]
-        adjusted = reevaluate_new_reservation(sub, cluster, view, self._budget(), TimingConstants())
+        adjusted = reevaluate_new_reservation(sub, cluster, view, self._budget())
         if len(adjusted.vms) == 1:
             assert cluster.vms[adjusted.vms[0]].tenant_id == "T1"
 
