@@ -1,9 +1,10 @@
 """Vendor component descriptions and the upgrade catalog.
 
-The catalog answers three kinds of questions: whether a provided capability
-satisfies a requirement, which symbolic actions deploy or revert a change on
-a resource, and which complementary changes a requested change set is missing
-against the current cluster configuration.
+The catalog answers three kinds of questions: whether a dependent's installed
+products accept what its sponsor's installed products provide
+(``UpgradeCatalog.compatible``), which symbolic actions deploy or revert a
+change on a resource, and which complementary changes a requested change set
+is missing against the current cluster configuration.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from upgradesim.errors import (
     InvalidDescriptionError,
     InvalidRequestError,
     MissingCatalogEntryError,
-    UnknownCapabilityError,
 )
 
 if TYPE_CHECKING:
@@ -206,7 +206,6 @@ class UpgradeCatalog:
     def __init__(self) -> None:
         self._by_id: dict[str, ComponentDescription] = {}
         self._by_product: dict[tuple[str, str], ComponentDescription] = {}
-        self._capability_names: set[str] = set()
 
     def register(self, desc: ComponentDescription) -> None:
         desc.validate()
@@ -224,10 +223,6 @@ class UpgradeCatalog:
             )
         self._by_id[desc.component_id] = desc
         self._by_product[key] = desc
-        for name, _ in desc.provides:
-            self._capability_names.add(name)
-        for rng in desc.requires:
-            self._capability_names.add(rng.name)
 
     def get(self, component_id: str) -> ComponentDescription:
         try:
@@ -251,17 +246,6 @@ class UpgradeCatalog:
 
     # -- compatibility ------------------------------------------------------
 
-    def check_compatibility(self, provided: Capability, required: CapabilityRange) -> bool:
-        """True iff the sponsor's provided version lies in the accepted range."""
-        name, version = provided
-        if name not in self._capability_names:
-            raise UnknownCapabilityError(f"unknown capability {name!r}")
-        if required.name not in self._capability_names:
-            raise UnknownCapabilityError(f"unknown capability {required.name!r}")
-        if name != required.name:
-            return False
-        return required.accepts(version)
-
     def capabilities_of(self, installed: dict[str, str]) -> dict[str, int]:
         """Capability name -> highest provided version across installed products."""
         out: dict[str, int] = {}
@@ -279,6 +263,19 @@ class UpgradeCatalog:
                 continue
             out.extend(self.find(product, version).requires)
         return out
+
+    def compatible(
+        self, dependent_installed: dict[str, str], sponsor_installed: dict[str, str]
+    ) -> bool:
+        """True iff every requirement of the dependent's products accepts the
+        version the sponsor's products provide for that capability; a
+        capability the sponsor does not provide constrains nothing."""
+        caps = self.capabilities_of(sponsor_installed)
+        return all(
+            rng.accepts(caps[rng.name])
+            for rng in self.requirements_of(dependent_installed)
+            if rng.name in caps
+        )
 
     # -- operation resolution ------------------------------------------------
 

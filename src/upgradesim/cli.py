@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -44,6 +45,17 @@ def _batch_sizes(text: str) -> list[int]:
     return [_batch_size(part) for part in text.split(",") if part.strip()]
 
 
+def _sim_seconds(text: str) -> float:
+    """``--max-sim-time``: a positive, finite number of seconds."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value) or value <= 0:
+        raise argparse.ArgumentTypeError(f"max sim time {text!r} is not a positive finite number")
+    return value
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="upgradesim", description=__doc__)
     parser.add_argument("--scenario", required=True, help="path to a scenario JSON file")
@@ -62,7 +74,10 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None, help="override the failure-model seed")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument(
-        "--max-sim-time", type=float, default=None, help="simulated-time cap in seconds"
+        "--max-sim-time",
+        type=_sim_seconds,
+        default=None,
+        help="simulated-time cap in seconds (positive)",
     )
     parser.add_argument(
         "--order-policy",

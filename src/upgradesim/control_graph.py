@@ -1,33 +1,20 @@
 """Coarsening of the resource graph into the upgrade control graph.
 
-Two contractions: container/contained and composition edges merge their
-endpoints (a host upgrades together with its hypervisor and composed disks);
-then resources whose first execution level belongs to a split-mode or local
-parallel-universe unit merge per sub-partition so they are scheduled as one.
-VM vertices never merge; they are planned separately.
+The control graph is its vertices only: resource groups, keyed by group id.
+Two contractions form them: container/contained and composition edges merge
+their endpoints (a host upgrades together with its hypervisor and composed
+disks); then resources whose first execution level belongs to a split-mode or
+local parallel-universe unit merge per sub-partition so they are scheduled as
+one. VM vertices never merge; they are planned separately. The elimination
+rules read dependencies from the resource graph's edges, so no edges are kept
+between groups.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from upgradesim.resource_graph import (
-    DependencyKind,
-    ExecutionLevel,
-    Presence,
-    ResourceGraph,
-    UpgradeMethod,
-    _CONTRACTED_KINDS,
-)
-
-
-@dataclass(frozen=True)
-class GroupEdge:
-    source: str
-    target: str
-    kind: DependencyKind
-    presence: Presence
-    incompatible: bool
+from upgradesim.resource_graph import DependencyKind, ExecutionLevel, ResourceGraph, UpgradeMethod
 
 
 @dataclass
@@ -58,16 +45,6 @@ class ResourceGroup:
         return any(rg.resources[m].levels for m in self.members if m in rg.resources)
 
 
-class ControlGraph:
-    def __init__(self, groups: dict[str, ResourceGroup], edges: list[GroupEdge]):
-        self.groups = groups
-        self.edges = edges
-        self.group_of: dict[str, str] = {}
-        for group in groups.values():
-            for member in group.members:
-                self.group_of[member] = group.group_id
-
-
 class _DisjointSet:
     def __init__(self, items):
         self.parent = {i: i for i in items}
@@ -87,8 +64,8 @@ class _DisjointSet:
             self.parent[rb] = ra
 
 
-def coarsen(rg: ResourceGraph) -> ControlGraph:
-    """Contract the resource graph into resource groups.
+def coarsen(rg: ResourceGraph) -> dict[str, ResourceGroup]:
+    """Contract the resource graph into resource groups, keyed by group id.
 
     Edge contraction runs first, then method-based vertex contraction; a
     vertex already merged by edge contraction merges group-wise.
@@ -96,7 +73,7 @@ def coarsen(rg: ResourceGraph) -> ControlGraph:
     dsu = _DisjointSet(rg.resources.keys())
 
     for edge in rg.edges:
-        if edge.kind in _CONTRACTED_KINDS:
+        if edge.kind in (DependencyKind.CONTAINER, DependencyKind.COMPOSITION):
             if edge.source in rg.resources and edge.target in rg.resources:
                 dsu.union(edge.source, edge.target)
 
@@ -124,26 +101,8 @@ def coarsen(rg: ResourceGraph) -> ControlGraph:
         members_by_root.setdefault(dsu.find(rid), []).append(rid)
 
     groups: dict[str, ResourceGroup] = {}
-    group_of: dict[str, str] = {}
     for root in sorted(members_by_root):
         members = tuple(sorted(members_by_root[root]))
         group_id = f"g:{members[0]}"
         groups[group_id] = ResourceGroup(group_id=group_id, members=members)
-        for member in members:
-            group_of[member] = group_id
-
-    seen: set[tuple] = set()
-    edges: list[GroupEdge] = []
-    for edge in rg.edges:
-        if edge.kind in _CONTRACTED_KINDS:
-            continue
-        src = group_of.get(edge.source)
-        dst = group_of.get(edge.target)
-        if src is None or dst is None or src == dst:
-            continue
-        key = (src, dst, edge.kind, edge.presence, edge.incompatible)
-        if key in seen:
-            continue
-        seen.add(key)
-        edges.append(GroupEdge(src, dst, edge.kind, edge.presence, edge.incompatible))
-    return ControlGraph(groups, edges)
+    return groups

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from upgradesim import vm_migration
 from upgradesim.catalog import UpgradeCatalog
 from upgradesim.cluster import ClusterState
-from upgradesim.control_graph import ControlGraph, coarsen
+from upgradesim.control_graph import ResourceGroup, coarsen
 from upgradesim.engine import Engine, EventLog, FailureModel, ScenarioEvent
 from upgradesim.planner import (
     Batch,
@@ -147,11 +147,11 @@ class Coordinator:
         if self.rg is None:
             self.rg = build_resource_graph(self.cluster, self.model, self.catalog)
         else:
-            refresh_structure(self.rg, self.cluster, self.model, self.catalog)
+            refresh_structure(self.rg, self.cluster, self.catalog)
             new_sets = self.model.take_unincorporated()
             if new_sets:
                 merge_new_requests(self.rg, self.cluster, new_sets, self.catalog)
-                refresh_structure(self.rg, self.cluster, self.model, self.catalog)
+                refresh_structure(self.rg, self.cluster, self.catalog)
 
     def _has_pending_work(self) -> bool:
         if self.model.any_pending():
@@ -217,6 +217,9 @@ class Coordinator:
     # -- the loop -----------------------------------------------------------------------
 
     def run(self, max_sim_time_ms: int | None = None) -> CoordinatorResult:
+        """Iterate until no work or event is left or the run is stuck. With a
+        cap, the run stops once the clock passes it; a wakeup past the cap is
+        not slept to: the clock advances to the cap and the run stops."""
         started = self.cluster.clock
         while True:
             if max_sim_time_ms is not None and self.cluster.clock > max_sim_time_ms:
@@ -227,20 +230,24 @@ class Coordinator:
                 if nxt is None:
                     self.phase = Phase.TERMINATED
                     break
-                self.engine.advance_to(nxt)
+            elif (
+                self.phase != Phase.SUSPENDED
+                or self._deadline_pending()
+                or self.check_suspension_resume() == Phase.RUNNING
+            ):
+                self.phase = Phase.RUNNING
+                report = self.run_iteration()
+                self.reports.append(report)
+                self.log.emit(report.ended_at, "iteration-report", report=json.loads(report.to_json()))
                 continue
-            if self.phase == Phase.SUSPENDED:
-                if self._deadline_pending():
-                    self.phase = Phase.RUNNING
-                elif self.check_suspension_resume() != Phase.RUNNING:
-                    nxt = self._next_wakeup()
-                    if nxt is None:
-                        break  # stuck: report unfinished state to the caller
-                    self.engine.advance_to(nxt)
-                    continue
-            report = self.run_iteration()
-            self.reports.append(report)
-            self.log.emit(report.ended_at, "iteration-report", report=json.loads(report.to_json()))
+            else:
+                nxt = self._next_wakeup()
+                if nxt is None:
+                    break  # stuck: report unfinished state to the caller
+            if max_sim_time_ms is not None and nxt > max_sim_time_ms:
+                self.engine.advance_to(max_sim_time_ms)
+                break
+            self.engine.advance_to(nxt)
         finished = self.cluster.clock
         return CoordinatorResult(
             reports=self.reports,
@@ -270,19 +277,21 @@ class Coordinator:
     # -- planning shared by run_iteration and check_suspension_resume ---------------
 
     def _plan_batch(
-        self, cg: ControlGraph, view: PartitionView
+        self, groups: dict[str, ResourceGroup], view: PartitionView
     ) -> tuple[Batch, list[Elimination], IterationBudget, Batch]:
         """Initial batch with its eliminations, the SLA budget of its first
         levels, and the final batch that fits the budget."""
         assert self.rg is not None
         batch, eliminations = initial_batch(
-            cg, self.rg, self.cluster, self.catalog, view, self.policies
+            groups, self.rg, self.cluster, self.catalog, view, self.policies
         )
         levels = [
-            lvl for gid in batch.groups for _, lvl in cg.groups[gid].first_levels(self.rg)
+            lvl for gid in batch.groups for _, lvl in groups[gid].first_levels(self.rg)
         ]
         budget = compute_budget(self.cluster, view, levels, self.policies)
-        final = select_final_batch(batch, cg, self.rg, self.cluster, view, budget, self.policies)
+        final = select_final_batch(
+            batch, groups, self.rg, self.cluster, view, budget, self.policies
+        )
         return batch, eliminations, budget, final
 
     def _migration_budget(self, view: PartitionView) -> vm_migration.MigrationBudget | None:
@@ -332,7 +341,7 @@ class Coordinator:
             index=self.iteration, started_at=started, ended_at=self.cluster.clock
         )
         report.failed_undo_units.extend(effects.undo_triggered)
-        refresh_structure(self.rg, self.cluster, self.model, self.catalog)
+        refresh_structure(self.rg, self.cluster, self.catalog)
 
         # Step 2: consolidation
         view = build_partition_view(self.cluster, self.rg, self.catalog)
@@ -343,13 +352,13 @@ class Coordinator:
             )
             outcomes = self.engine.execute_schedule(schedule)
             report.consolidation = [o.describe() for o in outcomes]
-            refresh_structure(self.rg, self.cluster, self.model, self.catalog)
+            refresh_structure(self.rg, self.cluster, self.catalog)
             view = build_partition_view(self.cluster, self.rg, self.catalog)
 
         # Step 3: coarsen into the control graph, batch selection, execution,
         # immediate recovery
-        cg = coarsen(self.rg)
-        batch, eliminations, budget, final = self._plan_batch(cg, view)
+        groups = coarsen(self.rg)
+        batch, eliminations, budget, final = self._plan_batch(groups, view)
         report.initial_batch = sorted(batch.groups)
         report.eliminations = [e.describe() for e in eliminations]
         report.budget = budget.describe()
@@ -360,7 +369,7 @@ class Coordinator:
             executed_any = True
             schedule = build_schedule(
                 final,
-                cg,
+                groups,
                 self.rg,
                 self.cluster,
                 view,
@@ -390,7 +399,7 @@ class Coordinator:
                 if not restored:
                     self._realize_isolation(target)
                     report.failed_resources.append(target)
-            refresh_structure(self.rg, self.cluster, self.model, self.catalog)
+            refresh_structure(self.rg, self.cluster, self.catalog)
 
         # Step 4: cross-partition VM waves
         view = build_partition_view(self.cluster, self.rg, self.catalog)
@@ -451,7 +460,7 @@ class Coordinator:
                     break
                 remaining -= migrated
                 wave += 1
-            refresh_structure(self.rg, self.cluster, self.model, self.catalog)
+            refresh_structure(self.rg, self.cluster, self.catalog)
         self.engine.check_vm_service_continuity()
 
         # finalization and report assembly; an undo issued while schedules

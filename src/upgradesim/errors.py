@@ -13,10 +13,6 @@ class DuplicateComponentError(UpgradeSimError):
     """A component id is already registered with different content."""
 
 
-class UnknownCapabilityError(UpgradeSimError):
-    """A compatibility query names a capability no description declares."""
-
-
 class MissingCatalogEntryError(UpgradeSimError):
     """A change references a product/version absent from the catalog."""
 

@@ -16,13 +16,12 @@ from upgradesim.actions import (
     ActionKind,
     Lane,
     ResolvedAction,
-    ResolvedAction as _RA,
     RuntimeUpgradeSchedule,
     TimedAction,
 )
 from upgradesim.catalog import StorageRequirement, UpgradeCatalog
 from upgradesim.cluster import ClusterState, TenantSLA, VmState
-from upgradesim.control_graph import ControlGraph, ResourceGroup
+from upgradesim.control_graph import ResourceGroup
 from upgradesim.errors import EmptyBatchError
 from upgradesim.requests import UpgradeRequestModel
 from upgradesim.resource_graph import (
@@ -562,7 +561,7 @@ def migration_action(m: PlannedMigration, timing: TimingConstants, role: str | N
     if role:
         params["role"] = role
     undo = (
-        _RA(
+        ResolvedAction(
             action_id=f"migrate:{m.vm_id}:back",
             kind=ActionKind.MIGRATE_VM,
             target=m.vm_id,
@@ -727,7 +726,7 @@ def _fresh_load(cluster: ClusterState) -> tuple[dict[str, int], dict[str, set[tu
 
 
 def initial_batch(
-    cg: ControlGraph,
+    groups_by_id: dict[str, ResourceGroup],
     rg: ResourceGraph,
     cluster: ClusterState,
     catalog: UpgradeCatalog,
@@ -742,8 +741,8 @@ def initial_batch(
     """
     eliminations: list[Elimination] = []
     candidates: list[ResourceGroup] = []
-    for group_id in sorted(cg.groups):
-        group = cg.groups[group_id]
+    for group_id in sorted(groups_by_id):
+        group = groups_by_id[group_id]
         kinds = {rg.resources[m].kind for m in group.members if m in rg.resources}
         if kinds <= {"vm"}:
             continue  # VM batches are chosen separately
@@ -808,13 +807,6 @@ def _first_violated_rule(
             return True  # will be live once its level completes
         return sim.in_service and not res.is_isolated and not res.is_failed
 
-    def compatible(dep: str, spon: str) -> bool:
-        caps = catalog.capabilities_of(installed(spon))
-        for rng in catalog.requirements_of(installed(dep)):
-            if rng.name in caps and not rng.accepts(caps[rng.name]):
-                return False
-        return True
-
     in_group = set(group.members)
     for rid, level in first_levels:
         if level.is_undo:
@@ -828,14 +820,14 @@ def _first_violated_rule(
                 continue
             if edge.presence == Presence.FUTURE or edge.kind == DependencyKind.MIGRATION:
                 continue
-            if live(edge.target) and not compatible(rid, edge.target):
+            if live(edge.target) and not catalog.compatible(installed(rid), installed(edge.target)):
                 return "sponsor-compatibility"
         for edge in rg.edges_to(rid):
             if edge.source in in_group or edge.source in shielded:
                 continue
             if edge.presence == Presence.FUTURE or edge.kind == DependencyKind.MIGRATION:
                 continue
-            if live(edge.source) and not compatible(edge.source, rid):
+            if live(edge.source) and not catalog.compatible(installed(edge.source), installed(rid)):
                 return "sponsor-compatibility"
 
     # peer / aggregation availability while members are out of service
@@ -935,7 +927,7 @@ def _first_violated_rule(
                     for rng in requirements:
                         if rng.name not in caps or not rng.accepts(caps[rng.name]):
                             return "add-ordering"
-                elif not compatible(rid, edge.target):
+                elif not catalog.compatible(installed(rid), installed(edge.target)):
                     return "add-ordering"
 
     # method ordering: second split-mode partition waits for the first
@@ -992,7 +984,7 @@ def _storage_requirement_of(
 
 def select_final_batch(
     batch: Batch,
-    cg: ControlGraph,
+    groups_by_id: dict[str, ResourceGroup],
     rg: ResourceGraph,
     cluster: ClusterState,
     view: PartitionView,
@@ -1007,7 +999,7 @@ def select_final_batch(
     against the combined selection so a later pick cannot strand an earlier
     one's VMs.
     """
-    groups = [cg.groups[g] for g in batch.groups]
+    groups = [groups_by_id[g] for g in batch.groups]
 
     def in_use(group: ResourceGroup) -> bool:
         return any(
@@ -1052,7 +1044,7 @@ def select_final_batch(
 
 def build_schedule(
     final: Batch,
-    cg: ControlGraph,
+    groups_by_id: dict[str, ResourceGroup],
     rg: ResourceGraph,
     cluster: ClusterState,
     view: PartitionView,
@@ -1067,7 +1059,7 @@ def build_schedule(
     in flight at once. A split-mode second partition gets the switchover
     (deactivate old side, activate the upgraded one) as its prologue.
     """
-    groups = [cg.groups[g] for g in final.groups]
+    groups = [groups_by_id[g] for g in final.groups]
     all_deactivated = {
         h for g in groups for h in _hosts_deactivated_by(g, rg, cluster)
     }
@@ -1101,7 +1093,7 @@ def build_schedule(
         cursor = 0
 
         # switchover prologue for a split-mode second partition
-        prologue = _switchover_prologue(group, rg, cluster)
+        prologue = _switchover_prologue(group, rg)
         for action in prologue:
             steps.append(TimedAction(cursor, action))
             cursor += action.duration_ms
@@ -1170,9 +1162,7 @@ def build_schedule(
     return RuntimeUpgradeSchedule(schedule_id=schedule_id, issued_at=issued_at, lanes=tuple(lanes))
 
 
-def _switchover_prologue(
-    group: ResourceGroup, rg: ResourceGraph, cluster: ClusterState
-) -> list[ResolvedAction]:
+def _switchover_prologue(group: ResourceGroup, rg: ResourceGraph) -> list[ResolvedAction]:
     for rid, level in group.first_levels(rg):
         unit = rg.upgrade_units.get(level.unit_id)
         if (

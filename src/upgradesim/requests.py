@@ -92,10 +92,6 @@ class ChangeSet:
                     f"change {change.change_id!r}: undo-threshold exceeds target count"
                 )
 
-    @property
-    def undo_unit_id(self) -> str:
-        return self.set_id
-
     def target_resources(self) -> list[str]:
         out: set[str] = set()
         for change in self.changes:

@@ -49,9 +49,6 @@ class UpgradeMethod(str, enum.Enum):
     PPU = "ppu"
 
 
-_CONTRACTED_KINDS = (DependencyKind.CONTAINER, DependencyKind.COMPOSITION)
-
-
 @dataclass(frozen=True)
 class Dependency:
     """Edge from the dependent resource to its sponsor."""
@@ -60,7 +57,6 @@ class Dependency:
     target: str
     kind: DependencyKind
     presence: Presence
-    incompatible: bool = False
     min_sponsors: int | None = None
 
 
@@ -178,19 +174,14 @@ def build_resource_graph(
 ) -> ResourceGraph:
     """Create the graph from the current configuration plus every pending set."""
     rg = ResourceGraph()
-    refresh_structure(rg, cluster, model, catalog)  # unit detection needs edges
+    refresh_structure(rg, cluster, catalog)  # unit detection needs edges
     for change_set in model.take_unincorporated():
         incorporate_change_set(rg, cluster, change_set, catalog)
-    refresh_structure(rg, cluster, model, catalog)
+    refresh_structure(rg, cluster, catalog)
     return rg
 
 
-def refresh_structure(
-    rg: ResourceGraph,
-    cluster: ClusterState,
-    model: UpgradeRequestModel,
-    catalog: UpgradeCatalog,
-) -> None:
+def refresh_structure(rg: ResourceGraph, cluster: ClusterState, catalog: UpgradeCatalog) -> None:
     """Re-derive vertices and edges from the cluster, keeping upgrade state."""
     alive: set[str] = set()
     for sim in cluster.resources.values():
@@ -222,7 +213,6 @@ def refresh_structure(
 
     rg.edges = _derive_edges(cluster, catalog)
     rg._reindex()
-    _mark_incompatibilities(rg, cluster, model, catalog)
 
 
 def _derive_edges(cluster: ClusterState, catalog: UpgradeCatalog) -> list[Dependency]:
@@ -292,74 +282,8 @@ def _host_uses_sponsor(
     host = cluster.resources.get(host_id)
     if host is not None:
         installed.update(host.installed)
-    caps = catalog.capabilities_of(sponsor.installed)
-    ranges = [r for r in catalog.requirements_of(installed) if r.name in caps]
-    if not ranges:
-        return True  # no stated requirement: keep the declared dependency
-    return all(r.accepts(caps[r.name]) for r in ranges)
-
-
-def _mark_incompatibilities(
-    rg: ResourceGraph,
-    cluster: ClusterState,
-    model: UpgradeRequestModel,
-    catalog: UpgradeCatalog,
-) -> None:
-    """Set the incompatibility factor on current/future edges whose endpoints
-    would version-mismatch mid-transition."""
-    pending_target: dict[str, Change] = {}
-    for change_set in model.pending_sets():
-        for change in change_set.changes:
-            if change.superseded or change.action not in ("upgrade",):
-                continue
-            for rid in change.targets:
-                pending_target.setdefault(rid, change)
-
-    def installed_now(rid: str) -> dict[str, str] | None:
-        sim = cluster.resources.get(rid)
-        return dict(sim.installed) if sim is not None else None
-
-    def installed_after(rid: str) -> dict[str, str] | None:
-        state = installed_now(rid)
-        if state is None:
-            return None
-        change = pending_target.get(rid)
-        if change is None:
-            return state
-        sim = cluster.resources[rid]
-        primary = sim.primary_state()
-        if primary is not None and primary[0] in state:
-            del state[primary[0]]
-        state[change.product] = change.target_version
-        return state
-
-    def compatible(dep: dict[str, str] | None, spon: dict[str, str] | None) -> bool:
-        if dep is None or spon is None:
-            return True
-        caps = catalog.capabilities_of(spon)
-        for rng in catalog.requirements_of(dep):
-            if rng.name in caps and not rng.accepts(caps[rng.name]):
-                return False
-        return True
-
-    new_edges: list[Dependency] = []
-    for edge in rg.edges:
-        incompatible = False
-        if edge.presence == Presence.CURRENT_FUTURE and (
-            edge.source in pending_target or edge.target in pending_target
-        ):
-            cur_d, cur_s = installed_now(edge.source), installed_now(edge.target)
-            post_d, post_s = installed_after(edge.source), installed_after(edge.target)
-            endpoints_consistent = compatible(cur_d, cur_s) and compatible(post_d, post_s)
-            mixed_breaks = not compatible(post_d, cur_s) or not compatible(cur_d, post_s)
-            incompatible = endpoints_consistent and mixed_breaks
-        if incompatible != edge.incompatible:
-            edge = Dependency(
-                edge.source, edge.target, edge.kind, edge.presence, incompatible, edge.min_sponsors
-            )
-        new_edges.append(edge)
-    rg.edges = new_edges
-    rg._reindex()
+    # no stated requirement keeps the declared dependency
+    return catalog.compatible(installed, sponsor.installed)
 
 
 # -- request incorporation --------------------------------------------------------
@@ -398,7 +322,7 @@ def incorporate_change_set(
                     current=sim.primary_state(),
                 )
                 rg.resources[resource_id] = res
-            state = _projected_state(res, cluster, catalog)
+            state = _projected_state(res)
             operation = catalog.resolve_operation(
                 change.action,
                 change.product,
@@ -459,9 +383,7 @@ def _create_placeholders(cluster: ClusterState, change_set: ChangeSet) -> None:
         ))
 
 
-def _projected_state(
-    res: Resource, cluster: ClusterState, catalog: UpgradeCatalog
-) -> tuple[str, str] | None:
+def _projected_state(res: Resource) -> tuple[str, str] | None:
     """The primary (product, version) after all already-pending levels run."""
     state = res.current
     for level in res.levels:
@@ -544,13 +466,7 @@ def _assign_units(
         return dict(sim.installed) if sim is not None else None
 
     def compatible(dep, spon) -> bool:
-        if dep is None or spon is None:
-            return True
-        caps = catalog.capabilities_of(spon)
-        for rng in catalog.requirements_of(dep):
-            if rng.name in caps and not rng.accepts(caps[rng.name]):
-                return False
-        return True
+        return dep is None or spon is None or catalog.compatible(dep, spon)
 
     adjacency: dict[str, set[str]] = {}
     for edge in rg.edges:
@@ -655,7 +571,7 @@ def apply_iteration_outcome(
                 change_set.undo_requested = True
                 reason = change_set.undo_reason = "threshold"
         if change_set.undo_requested and change_set.status != Status.FAILED:
-            _inject_undo(rg, model, cluster, catalog, change_set)
+            _inject_undo(rg, catalog, change_set)
             change_set.status = Status.FAILED
             effects.undo_triggered.append(change_set.set_id)
             for rid in change_set.target_resources():
@@ -685,13 +601,7 @@ def _undo_threshold_violated(rg: ResourceGraph, change_set: ChangeSet) -> bool:
     return False
 
 
-def _inject_undo(
-    rg: ResourceGraph,
-    model: UpgradeRequestModel,
-    cluster: ClusterState,
-    catalog: UpgradeCatalog,
-    change_set: ChangeSet,
-) -> None:
+def _inject_undo(rg: ResourceGraph, catalog: UpgradeCatalog, change_set: ChangeSet) -> None:
     undo_state: dict[str, tuple[str, str] | None] = {}
     for change in change_set.changes:
         if change.superseded:

@@ -9,6 +9,7 @@ converted to integer milliseconds on load.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -242,10 +243,13 @@ def parse_scenario(raw: dict) -> Scenario:
     }
 
     timing = dict(_DEFAULT_TIMING)
-    for key, value in _get(raw, "timing", "$", dict, default={}).items():
+    raw_timing = _get(raw, "timing", "$", dict, default={})
+    for key in raw_timing:
         if key not in _DEFAULT_TIMING:
             raise _fail(f"$.timing.{key}", "unknown timing constant")
-        timing[key] = value
+        timing[key] = _get(raw_timing, key, "$.timing", (int, float), default=timing[key])
+        if not math.isfinite(timing[key]) or timing[key] < 0:
+            raise _fail(f"$.timing.{key}", "must be a non-negative number")
     data["timing"] = timing
 
     vm_upgrade = _get(raw, "vm_upgrade", "$", dict, default=None)

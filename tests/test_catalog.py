@@ -12,7 +12,6 @@ from upgradesim.errors import (
     DuplicateComponentError,
     InvalidDescriptionError,
     MissingCatalogEntryError,
-    UnknownCapabilityError,
 )
 from upgradesim.requests import UpgradeRequestModel
 from upgradesim.scenario import build_catalog, build_cluster, build_events, parse_upgrade_request
@@ -77,31 +76,40 @@ def test_nonpositive_install_time_rejected():
 class TestCompatibility:
     def test_point_range(self):
         catalog = make_catalog()
-        assert catalog.check_compatibility(("storage-api", 2), CapabilityRange("storage-api", 2, 2))
+        assert catalog.compatible({"ceph": "2"}, {"ceph": "2"})
 
     def test_disjoint(self):
         catalog = make_catalog()
-        assert not catalog.check_compatibility(
-            ("storage-api", 1), CapabilityRange("storage-api", 2, 3)
+        catalog.register(
+            build_description(
+                "ceph-osd-1", "ceph", "1", "storage-host", provides=[("storage-api", 1)]
+            )
         )
+        catalog.register(
+            build_description(
+                "rbd-2", "rbd", "2", "other", requires=[CapabilityRange("storage-api", 2, 3)]
+            )
+        )
+        assert not catalog.compatible({"rbd": "2"}, {"ceph": "1"})
+        assert catalog.compatible({"rbd": "2"}, {"ceph": "2"})
 
     def test_storage_version_mismatch_detected(self, scenario_ppu):
         # the old storage's provided version falls outside what the new
         # clients accept, which is what forces the local parallel universe
         catalog = build_catalog(scenario_ppu)
-        kvm = catalog.find("kvm", "2")
-        requirement = next(r for r in kvm.requires if r.name == "vm-storage")
-        assert not catalog.check_compatibility(("vm-storage", 1), requirement)
+        assert not catalog.compatible({"kvm": "2"}, {"vsan": "1"})
+        assert catalog.compatible({"kvm": "2"}, {"ceph": "2"})
 
-    def test_unknown_capability(self):
+    def test_unprovided_capability_constrains_nothing(self):
+        # a requirement on a capability the sponsor does not provide at all
+        # is not the sponsor's to break; unknown products provide nothing
         catalog = make_catalog()
-        with pytest.raises(UnknownCapabilityError):
-            catalog.check_compatibility(("nope", 1), CapabilityRange("storage-api", 1, 1))
+        assert catalog.compatible({"ceph": "2"}, {"unknown-product": "9"})
+        assert catalog.compatible({"unknown-product": "9"}, {"ceph": "2"})
 
     def test_pure_function(self):
         catalog = make_catalog()
-        rng = CapabilityRange("storage-api", 1, 3)
-        results = {catalog.check_compatibility(("storage-api", 2), rng) for _ in range(5)}
+        results = {catalog.compatible({"ceph": "2"}, {"ceph": "2"}) for _ in range(5)}
         assert results == {True}
 
 

@@ -1,28 +1,28 @@
 from upgradesim.control_graph import coarsen
-from upgradesim.resource_graph import DependencyKind, UpgradeMethod
+from upgradesim.resource_graph import UpgradeMethod
 
 from conftest import toy_scenario
 from test_resource_graph import build_env
 
 
+def group_of(groups, resource_id):
+    """The id of the group that holds the resource, or None."""
+    return next((g.group_id for g in groups.values() if resource_id in g.members), None)
+
+
 def test_identity_coarsening_without_contractable_edges(scenario_a):
     # hosts and their hypervisors merge (containment), nothing else does
     cluster, catalog, model, rg = build_env(toy_scenario(host_count=3))
-    cg = coarsen(rg)
-    assert sorted(cg.groups) == ["g:h1", "g:h2", "g:h3"]
-    assert cg.groups["g:h1"].members == ("h1", "hv1")
+    groups = coarsen(rg)
+    assert sorted(groups) == ["g:h1", "g:h2", "g:h3"]
+    assert groups["g:h1"].members == ("h1", "hv1")
 
 
 def test_contraction_merges_host_hypervisor_and_disks(scenario_fig1):
     cluster, catalog, model, rg = build_env(scenario_fig1)
-    cg = coarsen(rg)
-    group_id = cg.group_of["h01"]
-    assert sorted(cg.groups[group_id].members) == ["d1", "d2", "d3", "d4", "h01", "hv01"]
-    # the merged vertex keeps the host's external storage edges
-    kinds = {e.kind for e in cg.edges if group_id in (e.source, e.target)}
-    assert DependencyKind.AGGREGATION in kinds
-    assert DependencyKind.CONTAINER not in kinds
-    assert DependencyKind.COMPOSITION not in kinds
+    groups = coarsen(rg)
+    group_id = group_of(groups, "h01")
+    assert sorted(groups[group_id].members) == ["d1", "d2", "d3", "d4", "h01", "hv01"]
 
 
 def test_split_mode_partitions_become_single_vertices():
@@ -69,10 +69,10 @@ def test_split_mode_partitions_become_single_vertices():
     cluster, catalog, model, rg = build_env(parse_scenario(data))
     unit = next(u for u in rg.upgrade_units.values() if u.method == UpgradeMethod.SPLIT_MODE)
     assert unit.partitions == (("r1", "r2"), ("r3", "r4"))
-    cg = coarsen(rg)
-    assert cg.group_of["r1"] == cg.group_of["r2"]
-    assert cg.group_of["r3"] == cg.group_of["r4"]
-    assert cg.group_of["r1"] != cg.group_of["r3"]
+    groups = coarsen(rg)
+    assert group_of(groups, "r1") == group_of(groups, "r2")
+    assert group_of(groups, "r3") == group_of(groups, "r4")
+    assert group_of(groups, "r1") != group_of(groups, "r3")
 
 
 def test_group_ids_stable_across_updates(scenario_fig1):
@@ -80,13 +80,13 @@ def test_group_ids_stable_across_updates(scenario_fig1):
     before = coarsen(rg)
     rg.resources["hv10"].levels.clear()  # membership unchanged
     after = coarsen(rg)
-    assert set(before.groups) == set(after.groups)
+    assert set(before) == set(after)
 
 
 def test_merged_levels_shrink_with_member_progress():
     cluster, catalog, model, rg = build_env(toy_scenario(host_count=1))
-    cg = coarsen(rg)
-    group = cg.groups[cg.group_of["hv1"]]
+    groups = coarsen(rg)
+    group = groups[group_of(groups, "hv1")]
     assert len(group.merged_levels(rg)) == 1
     rg.resources["hv1"].levels.pop(0)
     assert group.merged_levels(rg) == []
@@ -94,36 +94,10 @@ def test_merged_levels_shrink_with_member_progress():
 
 def test_removed_vertex_disappears(scenario_ppu):
     cluster, catalog, model, rg = build_env(scenario_ppu)
-    cg = coarsen(rg)
-    assert "vsan-1" in cg.group_of
+    assert group_of(coarsen(rg), "vsan-1") is not None
     cluster.resources["vsan-1"].removed = True
     from upgradesim.resource_graph import refresh_structure
 
-    refresh_structure(rg, cluster, model, catalog)
-    cg2 = coarsen(rg)
-    assert "vsan-1" not in cg2.group_of
+    refresh_structure(rg, cluster, catalog)
+    assert group_of(coarsen(rg), "vsan-1") is None
 
-
-def test_external_edge_preservation(scenario_fig1):
-    cluster, catalog, model, rg = build_env(scenario_fig1)
-    cg = coarsen(rg)
-    contracted = {DependencyKind.CONTAINER, DependencyKind.COMPOSITION}
-    # forward: every control edge is witnessed by a resource edge
-    for edge in cg.edges:
-        src = set(cg.groups[edge.source].members)
-        dst = set(cg.groups[edge.target].members)
-        assert any(
-            e.source in src and e.target in dst and e.kind == edge.kind
-            for e in rg.edges
-        )
-    # backward: every non-contracted cross-group resource edge is represented
-    for e in rg.edges:
-        if e.kind in contracted:
-            continue
-        src = cg.group_of.get(e.source)
-        dst = cg.group_of.get(e.target)
-        if src is None or dst is None or src == dst:
-            continue
-        assert any(
-            c.source == src and c.target == dst and c.kind == e.kind for c in cg.edges
-        )

@@ -89,6 +89,7 @@ class TestSuspension:
         coordinator, result = run(scenario, cap_ms=1_000_000)
         assert len(result.reports) <= 10
         assert result.phase == Phase.SUSPENDED
+        assert result.finished_at <= 1_000_000
 
     def test_migrated_vms_are_upgraded(self):
         coordinator, result = run(parse_scenario(ppu_vm_upgrade_json(60)))

@@ -66,13 +66,6 @@ def test_fig1_analog_structure(scenario_fig1):
     assert current_edges and all(e.presence == Presence.CURRENT for e in current_edges)
 
 
-def test_incompatibility_only_on_persistent_edges(scenario_fig1):
-    _, _, _, rg = build_env(scenario_fig1)
-    flagged = [e for e in rg.edges if e.incompatible]
-    assert flagged, "the peer upgrade should flag an incompatibility"
-    assert all(e.presence == Presence.CURRENT_FUTURE for e in flagged)
-
-
 def test_every_level_has_unit_and_undo_unit(scenario_fig1):
     _, _, model, rg = build_env(scenario_fig1)
     for res in rg.resources.values():
@@ -275,8 +268,8 @@ class TestMergeNewRequests:
 def test_refresh_tracks_cluster_changes():
     cluster, catalog, model, rg = build_env(toy_scenario(host_count=2), submit=False)
     cluster.resources["h1"].up = False
-    refresh_structure(rg, cluster, model, catalog)
+    refresh_structure(rg, cluster, catalog)
     assert not rg.resources["h1"].up
     cluster.resources["hv2"].removed = True
-    refresh_structure(rg, cluster, model, catalog)
+    refresh_structure(rg, cluster, catalog)
     assert "hv2" not in rg.resources

@@ -267,6 +267,41 @@ def test_bad_vm_upgrade_names_the_path(spec, path, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("value", ["x", -5, float("nan")], ids=["x", "-5", "nan"])
+def test_bad_timing_names_the_path(value, tmp_path, capsys):
+    data = json.loads(toy_scenario().to_json())
+    data["timing"] = {"migration_seconds": value}
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps(data))
+    code = main(["--scenario", str(scenario), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CHANGE_SET_FAILED
+    err = capsys.readouterr().err
+    assert "$.timing.migration_seconds" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-5", "x"])
+def test_bad_max_sim_time_is_a_usage_error(value, tmp_path, capsys):
+    code = main(["--scenario", str(SCENARIO_DIR / "table1-scenario-a.json"),
+                 "--max-sim-time", value, "--out", str(tmp_path / "o")])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"max sim time {value!r}" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_max_sim_time_caps_a_suspended_run(tmp_path):
+    # suspended until the change set's deadline, far past the cap: the run
+    # sleeps only up to the cap and stops there
+    scenario = tmp_path / "vm-upgrade.json"
+    scenario.write_text(json.dumps(ppu_vm_upgrade_json(20_000)))
+    out = tmp_path / "out"
+    code = main(["--scenario", str(scenario), "--max-sim-time", "1000", "--out", str(out)])
+    assert code == EXIT_CHANGE_SET_FAILED
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert (metrics["phase"], metrics["duration_s"]) == ("suspended", 1000.0)
+
+
 def test_vm_upgrade_completes_the_migration(tmp_path):
     scenario = tmp_path / "vm-upgrade.json"
     scenario.write_text(json.dumps(ppu_vm_upgrade_json(60)))
