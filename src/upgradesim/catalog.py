@@ -483,9 +483,7 @@ class UpgradeCatalog:
                 continue
             desc = self.find(change.product, change.target_version)
             if desc.kind == "virtual-storage" and change.action == "upgrade":
-                complements.extend(
-                    self._expand_storage_upgrade(change, desc, cluster, change_set)
-                )
+                complements.extend(self._expand_storage_upgrade(change, desc, cluster))
         complements.sort(key=lambda c: (min(c.targets, default=""), c.product))
         return complements
 
@@ -494,7 +492,6 @@ class UpgradeCatalog:
         change: "Change",
         new_desc: ComponentDescription,
         cluster: "ClusterState",
-        change_set: "ChangeSet",
     ) -> list["Change"]:
         """Expand an incompatible in-place virtual-storage upgrade.
 
@@ -576,7 +573,7 @@ class UpgradeCatalog:
             for host_id in incompatible_hosts:
                 hv = cluster.hypervisor_of(host_id)
                 assert hv is not None
-                hv_desc = self._hypervisor_for(provided, hv)
+                hv_desc = self._hypervisor_for(provided)
                 hv_targets.append(hv.resource_id)
             if hv_targets and hv_desc is not None:
                 out.append(
@@ -618,9 +615,7 @@ class UpgradeCatalog:
             )
         return max(matches, key=lambda d: d.version)
 
-    def _hypervisor_for(
-        self, provided: dict[str, int], current_hv
-    ) -> ComponentDescription:
+    def _hypervisor_for(self, provided: dict[str, int]) -> ComponentDescription:
         """Pick the registered hypervisor whose requirements accept the new caps."""
         candidates = []
         for d in self.descriptions():

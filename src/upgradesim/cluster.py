@@ -1,7 +1,10 @@
 """Simulated cluster state: hosts, components, VMs, tenants.
 
-This is the single mutable source of truth the engine acts on. Everything
-else (graphs, planners) reads snapshots of it.
+``ClusterState`` is the single mutable source of truth the engine acts on;
+``place_vm`` refuses a move that breaks host capacity or anti-affinity.
+Everything else (graphs, planners) reads snapshots of it. ``Placement`` is
+the snapshot every VM move is planned on: it holds where the up VMs sit, and
+its ``destination`` is the one rule that picks where a VM goes.
 """
 
 from __future__ import annotations
@@ -10,7 +13,12 @@ from bisect import insort
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from upgradesim.errors import InconsistentConfigError, UnknownHostError, UnknownResourceError
+from upgradesim.errors import (
+    InconsistentConfigError,
+    SimulationInvariantError,
+    UnknownHostError,
+    UnknownResourceError,
+)
 
 HOST_KINDS = {"compute-host", "storage-host", "controller-host", "network-host"}
 
@@ -152,9 +160,20 @@ class ClusterState:
         return vm
 
     def place_vm(self, vm: VmState, host_id: str | None) -> None:
-        """Move ``vm`` to ``host_id``, or off every host with None."""
+        """Move ``vm`` to ``host_id``, or off every host with None.
+
+        A host must have a free slot and no other up VM of ``vm``'s
+        anti-affinity group; a move that breaks either is refused."""
         if self._vms.get(vm.vm_id) is not vm:
             raise UnknownResourceError(f"vm {vm.vm_id!r} is not in this cluster")
+        if host_id is not None:
+            capacity = self.effective_capacity(host_id)  # an unknown host raises here
+            if not self.anti_affinity_ok(vm.vm_id, host_id):
+                raise SimulationInvariantError(
+                    f"placing {vm.vm_id!r} on {host_id!r} violates anti-affinity"
+                )
+            if sum(v is not vm for v in self.vms_on(host_id)) >= capacity:
+                raise SimulationInvariantError(f"placing {vm.vm_id!r} overfills {host_id!r}")
         self._placed[vm.host].remove(vm.vm_id)
         vm.host = host_id
         insort(self._placed.setdefault(host_id, []), vm.vm_id)
@@ -307,3 +326,75 @@ class ClusterState:
                         f"host {host_id}: two VMs of anti-affinity group {key} co-located"
                     )
                 seen.add(key)
+
+
+class Placement:
+    """Where the up VMs sit on the compute hosts: a snapshot on which plans
+    move VMs without touching the cluster. Host flags, capacities and VM
+    groups are read once; ``copy`` gives an independent trial to move VMs on.
+
+    ``destination`` is the one VM placement rule of the simulator."""
+
+    @classmethod
+    def of(cls, cluster: ClusterState) -> "Placement":
+        placement = cls.__new__(cls)
+        placement.hosts = hosts = tuple(cluster.hosts_with_role("compute"))
+        placement._can_run = frozenset(h for h in hosts if cluster.host_can_run_vms(h))
+        placement._capacity = {h: cluster.effective_capacity(h) for h in hosts}
+        # vm -> (tenant, anti-affinity group), for every VM of the cluster
+        placement.group_of = group_of = {
+            v: (vm.tenant_id, vm.group_id) for v, vm in cluster.vms.items()
+        }
+        # host -> its up VM ids, sorted; host -> VM count per (tenant, group)
+        placement.vms = {}
+        placement._groups = {}
+        placement._own = set(hosts)  # hosts whose vms and _groups entries no copy shares
+        for h in hosts:
+            placement.vms[h] = ids = [vm.vm_id for vm in cluster.vms_on(h)]
+            counts = placement._groups[h] = {}
+            for v in ids:
+                counts[group_of[v]] = counts.get(group_of[v], 0) + 1
+        return placement
+
+    def copy(self) -> "Placement":
+        """An independent trial. The two share each host's entries until
+        either of them moves a VM on that host."""
+        self._own = set()
+        return _copy(self, vms=dict(self.vms), _groups=dict(self._groups), _own=set())
+
+    def move(self, vm_id: str, source: str, dest: str) -> None:
+        key = self.group_of[vm_id]
+        if source not in self._own:
+            self._take(source)
+        if dest not in self._own:
+            self._take(dest)
+        self.vms[source].remove(vm_id)
+        self._groups[source][key] -= 1
+        insort(self.vms[dest], vm_id)
+        self._groups[dest][key] = self._groups[dest].get(key, 0) + 1
+
+    def _take(self, host_id: str) -> None:
+        """Give this placement its own entries of ``host_id``."""
+        self._own.add(host_id)
+        self.vms[host_id] = list(self.vms[host_id])
+        self._groups[host_id] = dict(self._groups[host_id])
+
+    def destination(self, vm_id: str, eligible, last_resort=frozenset()) -> str | None:
+        """Where ``vm_id`` goes: of the ``eligible`` hosts that can run VMs,
+        have a free slot and hold no VM of its (tenant, group), one outside
+        ``last_resort`` if any, then the most loaded, then the lowest id.
+        None when no host qualifies. A VM's own host holds its group, so it
+        is never its destination."""
+        key = self.group_of[vm_id]
+        vms, groups, capacity, can_run = self.vms, self._groups, self._capacity, self._can_run
+        best = None
+        for host_id in eligible:
+            if host_id not in can_run:
+                continue
+            load = len(vms[host_id])
+            if load >= capacity[host_id] or groups[host_id].get(key):
+                continue
+            candidate = (host_id in last_resort, -load, host_id)
+            if best is None or candidate < best:
+                best = candidate
+        return None if best is None else best[2]

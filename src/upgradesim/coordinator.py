@@ -167,7 +167,7 @@ class Coordinator:
         self._sync_graph()
         assert self.rg is not None
         view = build_partition_view(self.cluster, self.rg, self.catalog)
-        if plan_consolidation(self.cluster, self.rg, view, self.catalog):
+        if plan_consolidation(self.cluster, self.rg, view):
             self.phase = Phase.RUNNING
             return self.phase
         *_, final = self._plan_batch(coarsen(self.rg), view)
@@ -345,7 +345,7 @@ class Coordinator:
 
         # Step 2: consolidation
         view = build_partition_view(self.cluster, self.rg, self.catalog)
-        plan = plan_consolidation(self.cluster, self.rg, view, self.catalog)
+        plan = plan_consolidation(self.cluster, self.rg, view)
         if plan:
             schedule = build_consolidation_schedule(
                 plan, self.timing, self._next_schedule_id("consolidate"), self.cluster.clock
@@ -378,9 +378,7 @@ class Coordinator:
                 self.cluster.clock,
             )
             outcomes = self.engine.execute_schedule(schedule)
-            feedback = process_feedback(
-                self.rg, self.model, outcomes, self.timing, self.cluster.clock
-            )
+            feedback = process_feedback(self.rg, self.model, outcomes, self.cluster.clock)
             report.schedules.append(
                 {"schedule": schedule.describe(), "outcomes": [o.describe() for o in outcomes]}
             )

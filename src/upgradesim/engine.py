@@ -8,7 +8,7 @@ import random
 from dataclasses import dataclass, field
 
 from upgradesim.actions import ActionKind, ActionOutcome, ResolvedAction, RuntimeUpgradeSchedule
-from upgradesim.cluster import ClusterState, SimResource, VmState
+from upgradesim.cluster import ClusterState, Placement, SimResource, VmState
 from upgradesim.errors import (
     SimulationInvariantError,
     UnknownHostError,
@@ -288,12 +288,6 @@ class Engine:
         if vm is None:
             raise UnknownResourceError(f"migration of unknown vm {vm_id!r}")
         dest = action.params["to_host"]
-        if not self.cluster.anti_affinity_ok(vm_id, dest):
-            raise SimulationInvariantError(
-                f"migration of {vm_id!r} to {dest!r} violates anti-affinity"
-            )
-        if len(self.cluster.vms_on(dest)) >= self.cluster.effective_capacity(dest):
-            raise SimulationInvariantError(f"migration of {vm_id!r} overfills {dest!r}")
         self.cluster.place_vm(vm, dest)
         outage = int(action.params.get("outage_ms", self.timing.migration_outage_ms))
         self.log.emit(
@@ -330,8 +324,6 @@ class Engine:
                 host=None,
             )
             self.cluster.add_vm(vm)
-        if not self.cluster.anti_affinity_ok(vm_id, dest):
-            raise SimulationInvariantError(f"spawn of {vm_id!r} on {dest!r} violates anti-affinity")
         self.cluster.place_vm(vm, dest)
         vm.up = True
         if "version" in action.params:
@@ -348,17 +340,11 @@ class Engine:
 
     # -- scaling --------------------------------------------------------------------
 
-    def _placement_candidates(self, vm: VmState, side_hosts: set[str] | None) -> list[str]:
-        hosts = [
-            h
-            for h in self.cluster.hosts_with_role("compute")
-            if self.cluster.host_can_run_vms(h)
-            and (side_hosts is None or h in side_hosts)
-            and self.cluster.free_slots(h) > 0
-            and self.cluster.anti_affinity_ok(vm.vm_id, h)
-        ]
-        hosts.sort(key=lambda h: (-len(self.cluster.vms_on(h)), h))
-        return hosts
+    def _destination(self, vm: VmState, side_hosts: set[str] | None) -> str | None:
+        """Where the unplaced ``vm`` starts: on ``side_hosts``, or on any
+        compute host with None."""
+        placement = Placement.of(self.cluster)
+        return placement.destination(vm.vm_id, side_hosts or placement.hosts)
 
     def apply_scaling(self, event: ScenarioEvent) -> None:
         tenant_id = event.payload["tenant"]
@@ -390,8 +376,8 @@ class Engine:
             group_id = self._group_for_new_vm(tenant.tenant_id)
             vm = VmState(vm_id=vm_id, tenant_id=tenant.tenant_id, group_id=group_id, host=None)
             self.cluster.add_vm(vm)
-            candidates = self._placement_candidates(vm, side)
-            if not candidates:
+            dest = self._destination(vm, side)
+            if dest is None:
                 self.cluster.drop_vm(vm_id)
                 tenant.vm_seq -= 1
                 self.capacity_rejections += 1
@@ -406,7 +392,7 @@ class Engine:
                     placed=placed,
                 )
                 break
-            self.cluster.place_vm(vm, candidates[0])
+            self.cluster.place_vm(vm, dest)
             tenant.committed += 1
             placed += 1
             self.log.emit(
@@ -497,9 +483,9 @@ class Engine:
         now = self.cluster.clock
         for vm in vms:
             self.cluster.place_vm(vm, None)
-            candidates = self._placement_candidates(vm, self._tenant_side_hosts(vm.tenant_id))
-            if candidates:
-                self.cluster.place_vm(vm, candidates[0])
+            dest = self._destination(vm, self._tenant_side_hosts(vm.tenant_id))
+            if dest is not None:
+                self.cluster.place_vm(vm, dest)
                 self.log.emit(
                     restart_at,
                     "vm-failover",

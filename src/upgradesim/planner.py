@@ -20,7 +20,7 @@ from upgradesim.actions import (
     TimedAction,
 )
 from upgradesim.catalog import StorageRequirement, UpgradeCatalog
-from upgradesim.cluster import ClusterState, TenantSLA, VmState
+from upgradesim.cluster import ClusterState, Placement, TenantSLA, VmState
 from upgradesim.control_graph import ResourceGroup
 from upgradesim.errors import EmptyBatchError
 from upgradesim.requests import UpgradeRequestModel
@@ -323,15 +323,21 @@ class PlannedMigration:
         return (self.tenant_id, self.group_id)
 
 
-def host_has_pending_work(rg: ResourceGraph, cluster: ClusterState, host_id: str) -> bool:
-    res = rg.resources.get(host_id)
-    if res is not None and res.levels:
-        return True
-    for comp in cluster.components_on(host_id):
-        comp_res = rg.resources.get(comp.resource_id)
-        if comp_res is not None and comp_res.levels:
-            return True
-    return False
+def _hosts_with_pending_work(
+    rg: ResourceGraph, cluster: ClusterState, hosts
+) -> frozenset[str]:
+    """Of ``hosts``, those that have, or carry a component that has, levels
+    left to run."""
+
+    def pending(rid: str) -> bool:
+        res = rg.resources.get(rid)
+        return res is not None and bool(res.levels)
+
+    return frozenset(
+        h
+        for h in hosts
+        if pending(h) or any(pending(c.resource_id) for c in cluster.components_on(h))
+    )
 
 
 def _side_of(view: PartitionView, host_id: str) -> str:
@@ -344,27 +350,16 @@ def _side_of(view: PartitionView, host_id: str) -> str:
     return "none"
 
 
-def _pick_destination(
-    cluster: ClusterState,
-    vm: VmState,
-    candidates: list[str],
-    load: dict[str, int],
-    placed_groups: dict[str, set[tuple[str, str]]],
-) -> str | None:
-    for host_id in candidates:
-        if load[host_id] >= cluster.effective_capacity(host_id):
-            continue
-        if (vm.tenant_id, vm.group_id) in placed_groups[host_id]:
-            continue
-        return host_id
-    return None
+def _beside(view: PartitionView, hosts, host_id: str) -> list[str]:
+    """The ``hosts`` other than ``host_id`` on its side of the partition."""
+    if not view.partitioned:
+        return [h for h in hosts if h != host_id]
+    side = _side_of(view, host_id)
+    return [h for h in hosts if h != host_id and _side_of(view, h) == side]
 
 
 def plan_consolidation(
-    cluster: ClusterState,
-    rg: ResourceGraph,
-    view: PartitionView,
-    catalog: UpgradeCatalog,
+    cluster: ClusterState, rg: ResourceGraph, view: PartitionView
 ) -> list[PlannedMigration]:
     """Pack VMs to free up hosts ahead of batch selection.
 
@@ -390,15 +385,11 @@ def plan_consolidation(
                 ppu_pending = True
         else:
             ppu_pending = True
+    placement = Placement.of(cluster)
+    pending = _hosts_with_pending_work(rg, cluster, placement.hosts)
     plan: list[PlannedMigration] = []
-    load = {h: len(cluster.vms_on(h)) for h in cluster.hosts_with_role("compute")}
-    placed_groups: dict[str, set[tuple[str, str]]] = {
-        h: {(v.tenant_id, v.group_id) for v in cluster.vms_on(h)}
-        for h in cluster.hosts_with_role("compute")
-    }
-    moved: set[str] = set()
 
-    def commit(vm: VmState, source: str, dest: str, forced: bool, parked: bool) -> None:
+    def commit(vm: VmState, source: str, dest: str, forced: bool) -> None:
         plan.append(
             PlannedMigration(
                 vm_id=vm.vm_id,
@@ -407,76 +398,40 @@ def plan_consolidation(
                 tenant_id=vm.tenant_id,
                 group_id=vm.group_id,
                 forced=forced,
-                parked=parked,
+                parked=dest in pending,
             )
         )
-        load[source] -= 1
-        load[dest] += 1
-        placed_groups[source].discard((vm.tenant_id, vm.group_id))
-        placed_groups[dest].add((vm.tenant_id, vm.group_id))
-        moved.add(vm.vm_id)
 
     if ppu_pending:
-        overlap = sorted(view.storage & view.compute & view.used_compute)
-        for host_id in overlap:
-            side = _side_of(view, host_id)
+        for host_id in sorted(view.storage & view.compute & view.used_compute):
+            eligible = [h for h in _beside(view, placement.hosts, host_id) if h not in view.storage]
             for vm in cluster.vms_on(host_id):
-                if vm.vm_id in moved:
-                    continue
-                candidates = [
-                    h
-                    for h in cluster.hosts_with_role("compute")
-                    if h != host_id
-                    and h not in view.storage
-                    and cluster.host_can_run_vms(h)
-                    and _side_of(view, h) in ("any", side)
-                ]
-                candidates.sort(
-                    key=lambda h: (host_has_pending_work(rg, cluster, h), -load[h], h)
-                )
-                dest = _pick_destination(cluster, vm, candidates, load, placed_groups)
+                dest = placement.destination(vm.vm_id, eligible, pending)
                 if dest is not None:
-                    commit(vm, host_id, dest, forced=True, parked=host_has_pending_work(rg, cluster, dest))
+                    commit(vm, host_id, dest, forced=True)
+                    placement.move(vm.vm_id, host_id, dest)
 
-    sources = [
-        h
-        for h in cluster.hosts_with_role("compute")
-        if host_has_pending_work(rg, cluster, h) and load[h] > 0 and h not in view.storage
-    ]
-    sources.sort(key=lambda h: (load[h], h))
+    sources = sorted(
+        (h for h in placement.hosts if h in pending and placement.vms[h] and h not in view.storage),
+        key=lambda h: (len(placement.vms[h]), h),
+    )
     for host_id in sources:
-        side = _side_of(view, host_id)
-        if view.partitioned and view.new_side_ready and side == "old":
+        if view.partitioned and view.new_side_ready and _side_of(view, host_id) == "old":
             continue  # these VMs cross the partition instead
-        vms = [v for v in cluster.vms_on(host_id) if v.vm_id not in moved]
-        if not vms:
-            continue
-        tentative: list[tuple[VmState, str]] = []
-        t_load = dict(load)
-        t_groups = {h: set(g) for h, g in placed_groups.items()}
-        feasible = True
-        for vm in vms:
-            candidates = [
-                h
-                for h in cluster.hosts_with_role("compute")
-                if h != host_id
-                and cluster.host_can_run_vms(h)
-                and not host_has_pending_work(rg, cluster, h)
-                and _side_of(view, h) in ("any", side)
-            ]
-            candidates.sort(key=lambda h: (-t_load[h], h))
-            dest = _pick_destination(cluster, vm, candidates, t_load, t_groups)
+        # all of the host's VMs move, or none
+        eligible = [h for h in _beside(view, placement.hosts, host_id) if h not in pending]
+        trial = placement.copy()
+        moves: list[tuple[VmState, str]] = []
+        for vm in cluster.vms_on(host_id):
+            dest = trial.destination(vm.vm_id, eligible)
             if dest is None:
-                feasible = False
                 break
-            tentative.append((vm, dest))
-            t_load[dest] += 1
-            t_load[host_id] -= 1
-            t_groups[dest].add((vm.tenant_id, vm.group_id))
-            t_groups[host_id].discard((vm.tenant_id, vm.group_id))
-        if feasible:
-            for vm, dest in tentative:
-                commit(vm, host_id, dest, forced=False, parked=False)
+            moves.append((vm, dest))
+            trial.move(vm.vm_id, host_id, dest)
+        else:
+            for vm, dest in moves:
+                commit(vm, host_id, dest, forced=False)
+            placement = trial
     return plan
 
 
@@ -671,32 +626,22 @@ def _plan_evacuations(
     cluster: ClusterState,
     view: PartitionView,
     excluded_hosts: set[str],
-    load: dict[str, int],
-    placed_groups: dict[str, set[tuple[str, str]]],
+    placement: Placement,
+    pending: frozenset[str],
 ) -> list[PlannedMigration] | None:
-    """Assign destinations for every VM on hosts this group deactivates.
+    """Assign destinations for every VM on hosts this group deactivates,
+    moving them on ``placement``.
 
-    Destinations prefer hosts with no pending work; hosts that still await
-    their own upgrade are used as a last resort and mark the move as parked
-    (the wrap-up brings those VMs back). Returns None when some VM cannot be
-    placed at all.
+    Destinations prefer hosts with no ``pending`` work; hosts that still
+    await their own upgrade are used as a last resort and mark the move as
+    parked (the wrap-up brings those VMs back). Returns None when some VM
+    cannot be placed at all.
     """
     moves: list[PlannedMigration] = []
     for host_id in _hosts_deactivated_by(group, rg, cluster):
-        side = _side_of(view, host_id)
+        eligible = [h for h in _beside(view, placement.hosts, host_id) if h not in excluded_hosts]
         for vm in cluster.vms_on(host_id):
-            candidates = [
-                h
-                for h in cluster.hosts_with_role("compute")
-                if h != host_id
-                and h not in excluded_hosts
-                and cluster.host_can_run_vms(h)
-                and _side_of(view, h) in ("any", side)
-            ]
-            candidates.sort(
-                key=lambda h: (host_has_pending_work(rg, cluster, h), -load.get(h, 0), h)
-            )
-            dest = _pick_destination(cluster, vm, candidates, load, placed_groups)
+            dest = placement.destination(vm.vm_id, eligible, pending)
             if dest is None:
                 return None
             moves.append(
@@ -706,23 +651,11 @@ def _plan_evacuations(
                     dest=dest,
                     tenant_id=vm.tenant_id,
                     group_id=vm.group_id,
-                    parked=host_has_pending_work(rg, cluster, dest),
+                    parked=dest in pending,
                 )
             )
-            load[dest] = load.get(dest, 0) + 1
-            load[host_id] = load.get(host_id, 0) - 1
-            placed_groups[dest].add((vm.tenant_id, vm.group_id))
-            placed_groups[host_id].discard((vm.tenant_id, vm.group_id))
+            placement.move(vm.vm_id, host_id, dest)
     return moves
-
-
-def _fresh_load(cluster: ClusterState) -> tuple[dict[str, int], dict[str, set[tuple[str, str]]]]:
-    load = {h: len(cluster.vms_on(h)) for h in cluster.hosts_with_role("compute")}
-    groups = {
-        h: {(v.tenant_id, v.group_id) for v in cluster.vms_on(h)}
-        for h in cluster.hosts_with_role("compute")
-    }
-    return load, groups
 
 
 def initial_batch(
@@ -766,9 +699,13 @@ def initial_batch(
             continue
         candidates.append(group)
 
+    placement = Placement.of(cluster)
+    pending = _hosts_with_pending_work(rg, cluster, placement.hosts)
     survivors: list[ResourceGroup] = []
     for group in candidates:
-        rule = _first_violated_rule(group, rg, cluster, catalog, view, policies)
+        rule = _first_violated_rule(
+            group, rg, cluster, catalog, view, policies, placement.copy(), pending
+        )
         if rule is None:
             survivors.append(group)
         else:
@@ -783,7 +720,11 @@ def _first_violated_rule(
     catalog: UpgradeCatalog,
     view: PartitionView,
     policies: Policies,
+    placement: Placement,
+    pending: frozenset[str],
 ) -> str | None:
+    """The first elimination rule ``group`` violates, or None. The
+    evacuability rule moves VMs on ``placement``."""
     first_levels = group.first_levels(rg)
 
     # sponsor compatibility: upgrading now must not create a live incompatible
@@ -896,8 +837,8 @@ def _first_violated_rule(
             return "storage-capacity"
 
     # VM service: the group's hosts must be evacuable under anti-affinity
-    load, placed = _fresh_load(cluster)
-    if _plan_evacuations(group, rg, cluster, view, set(_hosts_deactivated_by(group, rg, cluster)), load, placed) is None:
+    own_hosts = set(_hosts_deactivated_by(group, rg, cluster))
+    if _plan_evacuations(group, rg, cluster, view, own_hosts, placement, pending) is None:
         return "vm-evacuability"
 
     # dependency ordering for removals and additions
@@ -1015,7 +956,8 @@ def select_final_batch(
     hosts_taken = 0
     dedicated_used = 0
     excluded: set[str] = set()
-    load, placed = _fresh_load(cluster)
+    placement = Placement.of(cluster)
+    pending = _hosts_with_pending_work(rg, cluster, placement.hosts)
     for group in groups:
         cost = affected(group)
         if hosts_taken + cost > budget.out_of_service_budget:
@@ -1026,16 +968,14 @@ def select_final_batch(
         if stays_down and dedicated_used + stays_down > policies.dedicated_upgrade_hosts:
             continue
         tentative_excluded = excluded | set(_hosts_deactivated_by(group, rg, cluster))
-        t_load = dict(load)
-        t_placed = {h: set(g) for h, g in placed.items()}
-        moves = _plan_evacuations(group, rg, cluster, view, tentative_excluded, t_load, t_placed)
-        if moves is None:
+        trial = placement.copy()
+        if _plan_evacuations(group, rg, cluster, view, tentative_excluded, trial, pending) is None:
             continue
         selected.append(group)
         hosts_taken += cost
         dedicated_used += stays_down
         excluded = tentative_excluded
-        load, placed = t_load, t_placed
+        placement = trial
     return Batch(tuple(g.group_id for g in selected), "final")
 
 
@@ -1063,11 +1003,12 @@ def build_schedule(
     all_deactivated = {
         h for g in groups for h in _hosts_deactivated_by(g, rg, cluster)
     }
-    load, placed = _fresh_load(cluster)
+    placement = Placement.of(cluster)
+    pending = _hosts_with_pending_work(rg, cluster, placement.hosts)
     evac_by_group: dict[str, list[PlannedMigration]] = {}
     flat: list[PlannedMigration] = []
     for group in groups:
-        moves = _plan_evacuations(group, rg, cluster, view, set(all_deactivated), load, placed)
+        moves = _plan_evacuations(group, rg, cluster, view, all_deactivated, placement, pending)
         moves = moves or []
         evac_by_group[group.group_id] = moves
         flat.extend(moves)
@@ -1213,7 +1154,6 @@ def process_feedback(
     rg: ResourceGraph,
     model: UpgradeRequestModel,
     outcomes,
-    timing: TimingConstants,
     clock: int,
 ) -> FeedbackResult:
     """Fold engine feedback back into the graph.

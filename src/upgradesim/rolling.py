@@ -8,18 +8,18 @@ averaged over orderings: all permutations for small clusters, a seeded
 sample otherwise.
 
 The cluster is read once per baseline into a ``Fleet``; each ordering then
-moves VMs on its own compact ``_Placement``, so the cluster is never copied
-or changed.
+moves VMs on its own copy of the fleet's ``Placement``, so the cluster is
+never copied or changed. An evacuated VM goes where ``Placement.destination``
+puts it, with the hosts not yet upgraded as the last resort.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from bisect import insort
 from dataclasses import dataclass, field
 
-from upgradesim.cluster import ClusterState
+from upgradesim.cluster import ClusterState, Placement
 from upgradesim.engine import EventLog, log_initial_commitments
 from upgradesim.errors import EvacuationInfeasibleError, InvalidRequestError
 from upgradesim.metrics import PenaltyReport, compute_sla_violations, penalty_report
@@ -102,79 +102,17 @@ class Fleet:
     the pre-upgrade one for the same reason."""
 
     cluster: ClusterState
-    hosts: tuple[str, ...]  # compute hosts, sorted by id
-    can_run_vms: frozenset[str]
-    capacity: dict[str, int]
+    placement: Placement  # each ordering moves VMs on a copy
     upgrade_resource: dict[str, str]  # host -> its hypervisor, or itself
-    placed: dict[str, tuple[str, ...]]  # host -> its up VMs, sorted by id
-    group: dict[str, tuple[str, str]]  # vm -> (tenant, anti-affinity group)
 
     @classmethod
     def of(cls, cluster: ClusterState) -> "Fleet":
-        hosts = tuple(cluster.hosts_with_role("compute"))
-        placed = {h: tuple(vm.vm_id for vm in cluster.vms_on(h)) for h in hosts}
+        placement = Placement.of(cluster)
         resource = {}
-        for h in hosts:
+        for h in placement.hosts:
             hv = cluster.hypervisor_of(h)
             resource[h] = hv.resource_id if hv is not None else h
-        return cls(
-            cluster=cluster,
-            hosts=hosts,
-            can_run_vms=frozenset(h for h in hosts if cluster.host_can_run_vms(h)),
-            capacity={h: cluster.effective_capacity(h) for h in hosts},
-            upgrade_resource=resource,
-            placed=placed,
-            group={
-                v: (cluster.vms[v].tenant_id, cluster.vms[v].group_id)
-                for vms in placed.values()
-                for v in vms
-            },
-        )
-
-
-class _Placement:
-    """Where the fleet's VMs sit during one ordering: host -> id-sorted VM
-    ids, and host -> VM count per (tenant, group)."""
-
-    def __init__(self, fleet: Fleet) -> None:
-        self.fleet = fleet
-        self.vms = {h: list(vms) for h, vms in fleet.placed.items()}
-        self.groups: dict[str, dict[tuple[str, str], int]] = {}
-        for h, vms in fleet.placed.items():
-            counts = self.groups[h] = {}
-            for v in vms:
-                key = fleet.group[v]
-                counts[key] = counts.get(key, 0) + 1
-
-    def move(self, vm_id: str, source: str, dest: str) -> None:
-        key = self.fleet.group[vm_id]
-        self.vms[source].remove(vm_id)
-        self.groups[source][key] -= 1
-        insort(self.vms[dest], vm_id)
-        self.groups[dest][key] = self.groups[dest].get(key, 0) + 1
-
-
-def _evacuation_destination(
-    placement: _Placement, vm_id: str, batch: set[str], upgraded: set[str]
-) -> str | None:
-    """Upgraded hosts first, then in-use old hosts, then empty old hosts;
-    within a tier the most loaded host, then the lowest host id."""
-    fleet = placement.fleet
-    key = fleet.group[vm_id]
-    best = None
-    for host_id in fleet.hosts:
-        if host_id in batch or host_id not in fleet.can_run_vms:
-            continue
-        load = len(placement.vms[host_id])
-        if load >= fleet.capacity[host_id]:
-            continue
-        if placement.groups[host_id].get(key):  # anti-affinity
-            continue
-        tier = 0 if host_id in upgraded else (1 if load else 2)
-        candidate = (tier, -load, host_id)
-        if best is None or candidate < best:
-            best = candidate
-    return None if best is None else best[2]
+        return cls(cluster=cluster, placement=placement, upgrade_resource=resource)
 
 
 def run_single_ordering(
@@ -183,11 +121,11 @@ def run_single_ordering(
     cfg: RollingBaselineConfig,
     timing: TimingConstants,
 ) -> RollingRun:
-    placement = _Placement(fleet)
+    placement = fleet.placement.copy()
     log = EventLog()
     log_initial_commitments(log, fleet.cluster)
     clock = fleet.cluster.clock
-    upgraded: set[str] = set()
+    not_upgraded = set(placement.hosts)
     rounds = 0
     migrations = 0
     infeasible = False
@@ -196,11 +134,13 @@ def run_single_ordering(
         list(ordering[i : i + cfg.batch_size]) for i in range(0, len(ordering), cfg.batch_size)
     ]
     for batch in batches:
-        batch_set = set(batch)
         moves: list[tuple[str, str, str]] = []
+        eligible = None
         for host_id in batch:
             for vm_id in list(placement.vms[host_id]):
-                dest = _evacuation_destination(placement, vm_id, batch_set, upgraded)
+                if eligible is None:
+                    eligible = [h for h in placement.hosts if h not in batch]
+                dest = placement.destination(vm_id, eligible, not_upgraded)
                 if dest is None:
                     infeasible = True
                     log.emit(clock, "evacuation-infeasible", host=host_id, vm=vm_id)
@@ -212,7 +152,7 @@ def run_single_ordering(
             end = clock + timing.migration_ms
             for vm_id, source, dest in moves:
                 migrations += 1
-                tenant, group = fleet.group[vm_id]
+                tenant, group = placement.group_of[vm_id]
                 log.emit(
                     end,
                     "vm-migrated",
@@ -236,7 +176,7 @@ def run_single_ordering(
             clock = end
         end = clock + cfg.upgrade_ms
         for host_id in batch:
-            upgraded.add(host_id)
+            not_upgraded.discard(host_id)
             resource = fleet.upgrade_resource[host_id]
             log.emit(end, "host-upgraded", host=host_id, resource=resource, started_at=clock)
         clock = end
@@ -260,7 +200,7 @@ def run_rolling_baseline(
         raise InvalidRequestError("batch size must be >= 1")
     fleet = Fleet.of(base)
     result = RollingBaselineResult(config=cfg)
-    for ordering in _orderings(list(fleet.hosts), cfg):
+    for ordering in _orderings(list(fleet.placement.hosts), cfg):
         result.runs.append(run_single_ordering(fleet, ordering, cfg, timing))
     if all(r.infeasible for r in result.runs) and result.runs:
         raise EvacuationInfeasibleError(

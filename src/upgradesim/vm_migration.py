@@ -12,7 +12,7 @@ from upgradesim.actions import (
     RuntimeUpgradeSchedule,
     TimedAction,
 )
-from upgradesim.cluster import ClusterState, VmState
+from upgradesim.cluster import ClusterState, Placement, VmState
 from upgradesim.planner import (
     PartitionView,
     Policies,
@@ -212,30 +212,14 @@ def build_vm_schedule(
 ) -> RuntimeUpgradeSchedule:
     """Live-migrate the wave to the new partition, upgrading each VM on the
     way when the versions are incompatible."""
-    load = {h: len(cluster.vms_on(h)) for h in view.compute_for_new}
-    placed = {
-        h: {(v.tenant_id, v.group_id) for v in cluster.vms_on(h)}
-        for h in view.compute_for_new
-    }
+    placement = Placement.of(cluster)
     lanes = []
     for vm_id in sub.vms:
         vm = cluster.vms[vm_id]
-        candidates = sorted(
-            (h for h in view.compute_for_new if cluster.host_can_run_vms(h)),
-            key=lambda h: (-load[h], h),
-        )
-        dest = None
-        for host_id in candidates:
-            if load[host_id] >= cluster.effective_capacity(host_id):
-                continue
-            if (vm.tenant_id, vm.group_id) in placed[host_id]:
-                continue
-            dest = host_id
-            break
+        dest = placement.destination(vm_id, view.compute_for_new)
         if dest is None:
             continue
-        load[dest] += 1
-        placed[dest].add((vm.tenant_id, vm.group_id))
+        placement.move(vm_id, vm.host, dest)
         steps = [
             TimedAction(
                 0,
@@ -285,31 +269,25 @@ def replacement_schedule(
 ) -> RuntimeUpgradeSchedule | None:
     """After a failed migration, bring a fresh VM up on the new side."""
     vm = cluster.vms[vm_id]
-    load = {h: len(cluster.vms_on(h)) for h in view.compute_for_new}
-    for host_id in sorted(view.compute_for_new, key=lambda h: (-load[h], h)):
-        if not cluster.host_can_run_vms(host_id):
-            continue
-        if load[host_id] >= cluster.effective_capacity(host_id):
-            continue
-        if not cluster.anti_affinity_ok(vm_id, host_id):
-            continue
-        action = ResolvedAction(
-            action_id=f"replace:{vm_id}",
-            kind=ActionKind.SPAWN_VM,
-            target=vm_id,
-            duration_ms=timing.vm_replacement_ms,
-            params={
-                "vm": vm_id,
-                "to_host": host_id,
-                "tenant": vm.tenant_id,
-                "group": vm.group_id,
-                "version": version or vm.version,
-                "initial_state": True,
-            },
-        )
-        return RuntimeUpgradeSchedule(
-            schedule_id=schedule_id,
-            issued_at=issued_at,
-            lanes=(Lane(lane_id=f"replace:{vm_id}", targets=(vm_id,), steps=(TimedAction(0, action),)),),
-        )
-    return None
+    dest = Placement.of(cluster).destination(vm_id, view.compute_for_new)
+    if dest is None:
+        return None
+    action = ResolvedAction(
+        action_id=f"replace:{vm_id}",
+        kind=ActionKind.SPAWN_VM,
+        target=vm_id,
+        duration_ms=timing.vm_replacement_ms,
+        params={
+            "vm": vm_id,
+            "to_host": dest,
+            "tenant": vm.tenant_id,
+            "group": vm.group_id,
+            "version": version or vm.version,
+            "initial_state": True,
+        },
+    )
+    return RuntimeUpgradeSchedule(
+        schedule_id=schedule_id,
+        issued_at=issued_at,
+        lanes=(Lane(lane_id=f"replace:{vm_id}", targets=(vm_id,), steps=(TimedAction(0, action),)),),
+    )

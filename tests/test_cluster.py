@@ -1,12 +1,19 @@
-"""ClusterState: its indexed lookups agree with a scan of its mappings, and
-its state changes only through its mutation methods."""
+"""ClusterState: its indexed lookups agree with a scan of its mappings, its
+state changes only through its mutation methods, and ``place_vm`` refuses a
+move that breaks capacity or anti-affinity. Placement: its destination agrees
+with a scan of the cluster."""
 
 import pytest
 from hypothesis import settings, strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
-from upgradesim.cluster import ClusterState, SimResource, TenantSLA, VmState
-from upgradesim.errors import InconsistentConfigError, UnknownResourceError
+from upgradesim.cluster import ClusterState, Placement, SimResource, TenantSLA, VmState
+from upgradesim.errors import (
+    InconsistentConfigError,
+    SimulationInvariantError,
+    UnknownHostError,
+    UnknownResourceError,
+)
 
 HOSTS = ["h1", "h2", "h3", "h4"]
 ROLES = {"h1": {"compute"}, "h2": {"compute"}, "h3": {"compute", "storage"}, "h4": {"storage"}}
@@ -74,6 +81,19 @@ def scan_storage_backend_of(cluster, host_id):
     return None
 
 
+def scan_capacity(cluster, host_id):
+    res = cluster.resources[host_id]
+    hv = scan_hypervisor_of(cluster, host_id)
+    if (
+        hv is not None
+        and hv.initial_primary_version is not None
+        and hv.primary_state() is not None
+        and hv.primary_state()[1] != hv.initial_primary_version
+    ):
+        return res.capacity_after_upgrade
+    return res.capacity
+
+
 def scan_free_slots(cluster, host_id):
     res = cluster.resources[host_id]
     if not res.in_service or "compute" not in res.roles:
@@ -81,15 +101,35 @@ def scan_free_slots(cluster, host_id):
     hv = scan_hypervisor_of(cluster, host_id)
     if hv is not None and not hv.in_service:
         return 0
-    capacity = res.capacity
-    if (
-        hv is not None
-        and hv.initial_primary_version is not None
-        and hv.primary_state() is not None
-        and hv.primary_state()[1] != hv.initial_primary_version
-    ):
-        capacity = res.capacity_after_upgrade
-    return capacity - len(scan_vms_on(cluster, host_id))
+    return scan_capacity(cluster, host_id) - len(scan_vms_on(cluster, host_id))
+
+
+def scan_refusal(cluster, vm, host_id):
+    """The error ``place_vm(vm, host_id)`` must raise, or None."""
+    if host_id is None:
+        return None
+    if host_id not in cluster.resources:
+        return UnknownHostError
+    others = [v for v in scan_vms_on(cluster, host_id) if v.vm_id != vm.vm_id]
+    if any((v.tenant_id, v.group_id) == (vm.tenant_id, vm.group_id) for v in others):
+        return SimulationInvariantError
+    if len(others) >= scan_capacity(cluster, host_id):
+        return SimulationInvariantError
+    return None
+
+
+def scan_destination(cluster, vm, eligible, last_resort):
+    """Of ``eligible``, the hosts that can take ``vm``, best first."""
+    fits = [
+        h
+        for h in eligible
+        if cluster.host_can_run_vms(h)
+        and cluster.free_slots(h) > 0
+        and cluster.anti_affinity_ok(vm.vm_id, h)
+        and vm not in cluster.vms_on(h)  # never onto the host it is on
+    ]
+    fits.sort(key=lambda h: (h in last_resort, -len(cluster.vms_on(h)), h))
+    return fits[0] if fits else None
 
 
 def assert_lookups_match_scan(cluster):
@@ -117,6 +157,20 @@ def snapshot(cluster):
     )
 
 
+def place_or_refuse(cluster, vm, host_id):
+    """``place_vm``, checked: it succeeds, or refuses as the scan says and
+    leaves the cluster as it was."""
+    refusal = scan_refusal(cluster, vm, host_id)
+    if refusal is None:
+        cluster.place_vm(vm, host_id)
+        assert vm.host == host_id
+        return
+    before = snapshot(cluster)
+    with pytest.raises(refusal):
+        cluster.place_vm(vm, host_id)
+    assert snapshot(cluster) == before
+
+
 # -- random mutation sequences ------------------------------------------------------
 
 hosts_or_none = st.sampled_from([*HOSTS, None])
@@ -128,6 +182,14 @@ class IndexedClusterMachine(RuleBasedStateMachine):
         super().__init__()
         self.pool = _pool()
         self.cluster = _cluster()
+
+    @initialize(with_hosts=st.booleans())
+    def start(self, with_hosts):
+        """Some runs start with every host in place, so that VMs land on hosts
+        that exist; the others add hosts as they go."""
+        if with_hosts:
+            for host_id in HOSTS:
+                self.cluster.add_resource(self.pool[host_id])
 
     @precondition(lambda self: len(self.cluster.resources) < len(POOL_IDS))
     @rule(data=st.data())
@@ -146,7 +208,7 @@ class IndexedClusterMachine(RuleBasedStateMachine):
     @rule(data=st.data(), host=hosts_or_none)
     def place_vm(self, data, host):
         vm_id = data.draw(st.sampled_from(sorted(self.cluster.vms)))
-        self.cluster.place_vm(self.cluster.vms[vm_id], host)
+        place_or_refuse(self.cluster, self.cluster.vms[vm_id], host)
 
     @precondition(lambda self: self.cluster.vms)
     @rule(data=st.data())
@@ -181,7 +243,7 @@ class IndexedClusterMachine(RuleBasedStateMachine):
         twin = self.cluster.clone()
         assert snapshot(twin) == before
         for vm in list(twin.vms.values()):
-            twin.place_vm(vm, data.draw(hosts_or_none))
+            place_or_refuse(twin, vm, data.draw(hosts_or_none))
             vm.up = not vm.up
             vm.version = "2"
         for res in twin.resources.values():
@@ -194,6 +256,27 @@ class IndexedClusterMachine(RuleBasedStateMachine):
         twin.clock += 1
         assert_lookups_match_scan(twin)
         assert snapshot(self.cluster) == before
+
+    @precondition(lambda self: self.cluster.vms)
+    @rule(
+        data=st.data(),
+        eligible=st.sets(st.sampled_from([*HOSTS, "nowhere"])),
+        last_resort=st.frozensets(st.sampled_from(HOSTS)),
+    )
+    def placement_destination(self, data, eligible, last_resort):
+        vm = self.cluster.vms[data.draw(st.sampled_from(sorted(self.cluster.vms)))]
+        placement = Placement.of(self.cluster)
+        dest = placement.destination(vm.vm_id, eligible, last_resort)
+        assert dest == scan_destination(self.cluster, vm, eligible, last_resort)
+        if dest is None or vm.vm_id not in placement.vms.get(vm.host, ()):
+            return  # nothing to move: the VM is down or on no compute host
+        before = {h: list(ids) for h, ids in placement.vms.items()}
+        twin = placement.copy()
+        twin.move(vm.vm_id, vm.host, dest)
+        assert vm.vm_id in twin.vms[dest] and vm.vm_id not in twin.vms[vm.host]
+        assert twin.destination(vm.vm_id, [dest]) is None  # its group is there now
+        assert placement.vms == before
+        assert placement.destination(vm.vm_id, eligible, last_resort) == dest
 
     @rule()
     def continue_on_a_clone(self):
@@ -242,3 +325,41 @@ def test_duplicate_ids_and_foreign_vms_are_refused():
     with pytest.raises(UnknownResourceError):
         twin.place_vm(cluster.vms["v1"], None)
     assert [v.vm_id for v in twin.vms_on("h1")] == ["v1"]
+
+
+def test_placement_destination_orders_hosts_by_the_rule():
+    cluster = _cluster()
+    cluster.tenants["T3"] = TenantSLA("T3", min_vms=0, max_vms=4, scaling_adjustment=1,
+                                      cooldown_ms=0, committed=1)
+    for h in ("h1", "h2", "h3", "h4", "h5"):
+        cluster.add_resource(SimResource(h, "compute-host", roles=frozenset({"compute"}),
+                                         capacity=2 if h == "h3" else 3))
+    for vm_id, tenant, group, host in [
+        ("a", "T1", "g1", "h1"),
+        ("b", "T1", "g2", "h2"),
+        ("f", "T3", "g1", "h2"),
+        ("c", "T2", "g1", "h3"),
+        ("d", "T2", "g2", "h3"),  # h3 is full
+        ("e", "T2", "g1", "h4"),
+    ]:
+        cluster.add_vm(VmState(vm_id, tenant, group, host))
+    cluster.resources["h5"].up = False
+    placement = Placement.of(cluster)
+    hosts = placement.hosts
+    # a's own host holds its group, h3 is full and h5 is down; of h2 and h4
+    # the more loaded wins, unless it is a last resort
+    assert placement.destination("a", hosts) == "h2"
+    assert placement.destination("a", hosts, frozenset({"h2"})) == "h4"
+    assert placement.destination("a", ["h1", "h3", "h5", "nowhere"]) is None
+    assert placement.destination("c", ["h4"]) is None  # e holds T2/g1 there
+    trial = placement.copy()
+    trial.move("f", "h2", "h4")
+    assert trial.destination("a", hosts) == "h4"
+    assert trial.destination("c", hosts) == "h1"  # h1 and h2 tie: the lower id
+    assert placement.destination("a", hosts) == "h2"  # the original is untouched
+    assert placement.vms == {"h1": ["a"], "h2": ["b", "f"], "h3": ["c", "d"], "h4": ["e"],
+                             "h5": []}
+    placement.move("b", "h2", "h1")  # and a move on the original leaves the copy alone
+    assert trial.vms["h1"] == ["a"] and trial.vms["h2"] == ["b"]
+    assert placement.vms["h1"] == ["a", "b"] and placement.vms["h2"] == ["f"]
+    assert trial.destination("c", hosts) == "h1"

@@ -3,7 +3,12 @@ import pytest
 from upgradesim.actions import ActionKind, Lane, ResolvedAction, RuntimeUpgradeSchedule, TimedAction
 from upgradesim.cluster import ClusterState, SimResource, TenantSLA, VmState
 from upgradesim.engine import Engine, FailureModel, ScenarioEvent, ScriptedFailure
-from upgradesim.errors import UnknownHostError, UnknownResourceError, UnknownTenantError
+from upgradesim.errors import (
+    SimulationInvariantError,
+    UnknownHostError,
+    UnknownResourceError,
+    UnknownTenantError,
+)
 from upgradesim.planner import TimingConstants
 
 
@@ -112,6 +117,25 @@ class TestExecuteSchedule:
         schedule = RuntimeUpgradeSchedule("s", 0, (one_lane("l1", install_action("ghost")),))
         with pytest.raises(UnknownResourceError):
             engine.execute_schedule(schedule)
+
+    def test_replacement_spawn_onto_a_full_host_raises(self):
+        cluster = small_cluster(k=1)
+        cluster.tenants["T1"] = TenantSLA("T1", 1, 4, 1, 600_000, committed=2)
+        cluster.add_vm(VmState("T1.1", "T1", "g1", "h1"))
+        cluster.add_vm(VmState("T1.2", "T1", "g2", "h2"))  # another group: only capacity bars h2
+        spawn = ResolvedAction(
+            action_id="replace:T1.1",
+            kind=ActionKind.SPAWN_VM,
+            target="T1.1",
+            duration_ms=10_000,
+            params={"vm": "T1.1", "to_host": "h2", "tenant": "T1", "group": "g1",
+                    "initial_state": True},
+        )
+        engine = engine_for(cluster)
+        with pytest.raises(SimulationInvariantError, match="overfills"):
+            engine.execute_schedule(RuntimeUpgradeSchedule("s", 0, (one_lane("l1", spawn),)))
+        assert cluster.vms["T1.1"].host == "h1"
+        assert [vm.vm_id for vm in cluster.vms_on("h2")] == ["T1.2"]
 
 
 class TestScaling:

@@ -281,7 +281,7 @@ class TestConsolidation:
         # achieves the brute-force minimum of used hosts
         cluster, catalog, model, rg = build_env(two_half_empty_hosts())
         view = build_partition_view(cluster, rg, catalog)
-        plan = plan_consolidation(cluster, rg, view, catalog)
+        plan = plan_consolidation(cluster, rg, view)
         assert len(plan) == 2
         assert {m.dest for m in plan} == {"h3"}
         for m in plan:
@@ -300,7 +300,7 @@ class TestConsolidation:
         ]
         cluster, catalog, model, rg = build_env(toy_scenario(host_count=2, tenants=tenants))
         view = build_partition_view(cluster, rg, catalog)
-        assert plan_consolidation(cluster, rg, view, catalog) == []
+        assert plan_consolidation(cluster, rg, view) == []
 
     def test_ppu_overlap_hosts_evacuated_first(self, scenario_ppu):
         import json
@@ -310,7 +310,7 @@ class TestConsolidation:
         data["tenants"][0]["vms"] = [v for v in data["tenants"][0]["vms"] if v["id"] != "T1.1"]
         cluster, catalog, model, rg = build_env(parse_scenario(data))
         view = build_partition_view(cluster, rg, catalog)
-        plan = plan_consolidation(cluster, rg, view, catalog)
+        plan = plan_consolidation(cluster, rg, view)
         forced = [m for m in plan if m.forced]
         assert forced and forced[0].source in ("b1", "b2")
         assert all(m.dest.startswith("c") for m in forced)
@@ -577,7 +577,7 @@ class TestProcessFeedback:
     def test_success_pops_level(self):
         cluster, catalog, model, rg = build_env(toy_scenario(host_count=1))
         outcomes = self._outcomes(rg, "hv1")
-        result = process_feedback(rg, model, outcomes, TimingConstants(), 0)
+        result = process_feedback(rg, model, outcomes, 0)
         assert rg.resources["hv1"].levels == []
         assert rg.resources["hv1"].failed_attempts == {}
         assert result.recovery_schedules == []
@@ -587,7 +587,7 @@ class TestProcessFeedback:
         cluster, catalog, model, rg = build_env(toy_scenario(host_count=1))
         # actions: deactivate, install, activate; fail the third
         outcomes = self._outcomes(rg, "hv1", fail_at=2)
-        result = process_feedback(rg, model, outcomes, TimingConstants(), 0)
+        result = process_feedback(rg, model, outcomes, 0)
         assert rg.resources["hv1"].failed_attempts["cs-1"] == 1
         assert len(rg.resources["hv1"].levels) == 1  # level kept for retry
         recovery = result.recovery_schedules[0]
@@ -599,7 +599,7 @@ class TestProcessFeedback:
     def test_failed_first_action_needs_no_recovery(self):
         cluster, catalog, model, rg = build_env(toy_scenario(host_count=1))
         outcomes = self._outcomes(rg, "hv1", fail_at=0)
-        result = process_feedback(rg, model, outcomes, TimingConstants(), 0)
+        result = process_feedback(rg, model, outcomes, 0)
         assert result.recovery_schedules == []
         assert rg.resources["hv1"].failed_attempts["cs-1"] == 1
 

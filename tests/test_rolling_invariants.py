@@ -116,7 +116,7 @@ def test_toy_cluster_runs_keep_placement_rules(cluster, batch_size, data):
     timing = build_timing(toy_scenario())
     cfg = RollingBaselineConfig(batch_size=batch_size)
     for _ in range(3):
-        ordering = tuple(data.draw(st.permutations(fleet.hosts)))
+        ordering = tuple(data.draw(st.permutations(fleet.placement.hosts)))
         replay(cluster, run_single_ordering(fleet, ordering, cfg, timing), batch_size)
 
 
@@ -130,7 +130,7 @@ def test_bundled_scenario_runs_keep_placement_rules(name):
     timing = build_timing(scenario)
     fleet = Fleet.of(cluster)
     rng = random.Random(name)
-    orderings = [tuple(rng.sample(fleet.hosts, len(fleet.hosts))) for _ in range(15)]
+    orderings = [tuple(rng.sample(fleet.placement.hosts, len(fleet.placement.hosts))) for _ in range(15)]
     for batch_size in (1, 2, 3, 4):
         cfg = RollingBaselineConfig(batch_size=batch_size)
         for ordering in orderings:
