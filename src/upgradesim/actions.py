@@ -16,10 +16,6 @@ def seconds_to_ms(value: float) -> int:
     return int(round(value * MS))
 
 
-def ms_to_seconds(value: int) -> float:
-    return value / MS
-
-
 class ActionKind(str, enum.Enum):
     DEACTIVATE = "deactivate"
     ACTIVATE = "activate"

@@ -81,12 +81,7 @@ class EventLog:
         self.records: list[dict] = []
 
     def emit(self, at: int, kind: str, **fields) -> None:
-        record = {"at": at, "kind": kind}
-        record.update(fields)
-        self.records.append(record)
-
-    def of_kind(self, kind: str) -> list[dict]:
-        return [r for r in self.records if r["kind"] == kind]
+        self.records.append({"at": at, "kind": kind, **fields})
 
     def to_jsonl(self) -> str:
         # failover records are written at their (future) restart time, so the
@@ -537,21 +532,16 @@ class Engine:
 
     def check_vm_service_continuity(self) -> None:
         """Record a gap whenever a placed VM's host lost its storage backing."""
+        declared: set[str] = set()  # hosts some storage says it backs
+        serving: set[str] = set()  # hosts backed by storage that is in service
+        for res in self.cluster.resources.values():
+            if res.kind == "virtual-storage" and not res.removed:
+                declared.update(res.serves)
+                if res.present and res.active and res.up:
+                    serving.update(res.serves)
         for vm_id in sorted(self.cluster.vms):
             vm = self.cluster.vms[vm_id]
-            if not vm.up or vm.host is None:
-                continue
-            declared = any(
-                vm.host in res.serves
-                for res in self.cluster.resources.values()
-                if res.kind == "virtual-storage" and not res.removed
-            )
-            serving = any(
-                vm.host in res.serves and res.present and res.active and res.up
-                for res in self.cluster.resources.values()
-                if res.kind == "virtual-storage" and not res.removed
-            )
-            if declared and not serving:
+            if vm.up and vm.host in declared and vm.host not in serving:
                 self.log.emit(
                     self.cluster.clock, "vm-service-gap", vm=vm_id, host=vm.host
                 )

@@ -4,27 +4,13 @@ from __future__ import annotations
 
 import csv
 import io
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from upgradesim.actions import ms_to_seconds
 from upgradesim.engine import EventLog
 
 
-@dataclass(frozen=True)
-class OutageRecord:
-    subject: str  # vm id
-    tenant: str
-    group: str
-    start: int
-    end: int
-    cause: str  # migration | host-failure | vm-upgrade
-
-    @property
-    def duration_ms(self) -> int:
-        return self.end - self.start
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SlaViolation:
     tenant: str
     start: int
@@ -40,7 +26,7 @@ class SlaViolation:
         return self.end - self.start
 
 
-@dataclass
+@dataclass(slots=True)
 class TenantPenalty:
     tenant: str
     violation_count: int
@@ -55,7 +41,7 @@ class TenantPenalty:
         return self.weighted_ms / 1000
 
 
-@dataclass
+@dataclass(slots=True)
 class PenaltyReport:
     per_tenant: dict[str, TenantPenalty] = field(default_factory=dict)
 
@@ -72,36 +58,28 @@ class PenaltyReport:
         return sum(t.weighted_ms for t in self.per_tenant.values()) / len(self.per_tenant) / 1000
 
 
-def vm_outages(log: EventLog) -> list[OutageRecord]:
-    out = []
-    for record in log.of_kind("vm-outage"):
-        out.append(
-            OutageRecord(
-                subject=record["vm"],
-                tenant=record["tenant"],
-                group=record["group"],
-                start=record["start"],
-                end=record["end"],
-                cause=record["cause"],
-            )
-        )
-    out.sort(key=lambda r: (r.start, r.subject))
-    return out
+# Each function below that takes a log reads ``log.records`` in one scan and
+# groups what it needs on the way; the coordinator and every rolling ordering
+# share them.
 
 
 def per_vm_outage_totals(log: EventLog) -> dict[str, int]:
+    """Total outage (ms) per VM, in the order the VMs first appear in the log."""
     totals: dict[str, int] = {}
-    for rec in vm_outages(log):
-        totals[rec.subject] = totals.get(rec.subject, 0) + rec.duration_ms
+    for r in log.records:
+        if r["kind"] == "vm-outage":
+            vm = r["vm"]
+            totals[vm] = totals.get(vm, 0) + r["end"] - r["start"]
     return totals
 
 
 def _merge_intervals(intervals: list[tuple[int, int]]) -> list[tuple[int, int, int]]:
-    """Merge into maximal busy intervals; third field is max overlap depth."""
-    events: list[tuple[int, int]] = []
-    for start, end in intervals:
-        events.append((start, +1))
-        events.append((end, -1))
+    """Merge into maximal busy intervals; third field is max overlap depth.
+
+    Intervals that only touch stay apart: an end sorts before a start at the
+    same instant."""
+    events = [(start, +1) for start, _ in intervals]
+    events += [(end, -1) for _, end in intervals]
     events.sort()
     merged: list[tuple[int, int, int]] = []
     depth = 0
@@ -112,7 +90,8 @@ def _merge_intervals(intervals: list[tuple[int, int]]) -> list[tuple[int, int, i
             window_start = at
             max_depth = 0
         depth += delta
-        max_depth = max(max_depth, depth)
+        if depth > max_depth:
+            max_depth = depth
         if depth == 0:
             merged.append((window_start, at, max_depth))
     return merged
@@ -125,29 +104,35 @@ def compute_application_outage(log: EventLog, tenants: list[str]) -> dict[str, i
     tenant with redundancy is impacted only while two or more VMs of one
     anti-affinity group are down at once.
     """
-    outages = vm_outages(log)
-    committed = _committed_timeline(log)
-    result: dict[str, int] = {t: 0 for t in tenants}
+    # tenant -> group -> (start, end) of each outage
+    spans: dict[str, dict[str, list[tuple[int, int]]]] = {t: {} for t in tenants}
+    timeline: dict[str, list[tuple[int, int]]] = {}
+    for r in log.records:
+        kind = r["kind"]
+        if kind == "vm-outage":
+            groups = spans.get(r["tenant"])
+            if groups is not None:
+                groups.setdefault(r["group"], []).append((r["start"], r["end"]))
+        elif kind == "tenant-committed":
+            timeline.setdefault(r["tenant"], []).append((r["at"], r["count"]))
+        elif kind == "tenant-initial":
+            timeline.setdefault(r["tenant"], []).insert(0, (r["at"], r["count"]))
+    result: dict[str, int] = {}
     for tenant in tenants:
-        records = [r for r in outages if r.tenant == tenant]
-        by_group: dict[str, list[OutageRecord]] = {}
-        for rec in records:
-            by_group.setdefault(rec.group, []).append(rec)
+        committed_at = _committed_lookup(timeline.get(tenant, []))
         total = 0
-        for group_records in by_group.values():
-            total += _overlap_at_depth(group_records, 2)
-        for rec in records:
-            if _committed_at(committed, tenant, rec.start) == 1:
-                total += rec.duration_ms
+        for group_spans in spans[tenant].values():
+            total += _overlap_at_depth(group_spans, 2)
+            for start, end in group_spans:
+                if committed_at(start) == 1:
+                    total += end - start
         result[tenant] = total
     return result
 
 
-def _overlap_at_depth(records: list[OutageRecord], depth: int) -> int:
-    events: list[tuple[int, int]] = []
-    for rec in records:
-        events.append((rec.start, +1))
-        events.append((rec.end, -1))
+def _overlap_at_depth(spans: list[tuple[int, int]], depth: int) -> int:
+    events = [(start, +1) for start, _ in spans]
+    events += [(end, -1) for _, end in spans]
     events.sort()
     level = 0
     total = 0
@@ -160,63 +145,64 @@ def _overlap_at_depth(records: list[OutageRecord], depth: int) -> int:
     return total
 
 
-def _committed_timeline(log: EventLog) -> dict[str, list[tuple[int, int]]]:
-    timeline: dict[str, list[tuple[int, int]]] = {}
-    for record in log.records:
-        if record["kind"] == "tenant-committed":
-            timeline.setdefault(record["tenant"], []).append((record["at"], record["count"]))
-        elif record["kind"] == "tenant-initial":
-            timeline.setdefault(record["tenant"], []).insert(0, (record["at"], record["count"]))
-    return timeline
+def _committed_lookup(timeline: list[tuple[int, int]]):
+    """``at -> committed count``: the count of the latest entry of
+    ``timeline`` (in log order) stamped at or before ``at``; 0 before any."""
+    times: list[int] = []
+    counts: list[int] = []
+    latest = -1
+    for i in sorted(range(len(timeline)), key=lambda i: timeline[i][0]):
+        latest = max(latest, i)
+        times.append(timeline[i][0])
+        counts.append(timeline[latest][1])
 
+    def committed_at(at: int) -> int:
+        k = bisect_right(times, at)
+        return counts[k - 1] if k else 0
 
-def _committed_at(timeline: dict[str, list[tuple[int, int]]], tenant: str, at: int) -> int:
-    count = 0
-    for ts, value in timeline.get(tenant, []):
-        if ts <= at:
-            count = value
-    return count
+    return committed_at
 
 
 def compute_sla_violations(log: EventLog, tenants: list[str]) -> list[SlaViolation]:
     """Maximal intervals where a tenant's live VM count sits below the
     committed count; impact is the peak number of simultaneously down VMs."""
-    outages = vm_outages(log)
-    violations: list[SlaViolation] = []
-    for tenant in tenants:
-        records = [r for r in outages if r.tenant == tenant and r.duration_ms > 0]
-        for start, end, depth in _merge_intervals([(r.start, r.end) for r in records]):
-            violations.append(SlaViolation(tenant=tenant, start=start, end=end, impacted_vms=depth))
+    spans: dict[str, list[tuple[int, int]]] = {t: [] for t in tenants}
+    for r in log.records:
+        if r["kind"] == "vm-outage" and r["start"] < r["end"]:
+            mine = spans.get(r["tenant"])
+            if mine is not None:
+                mine.append((r["start"], r["end"]))
+    violations = [
+        SlaViolation(tenant, start, end, depth)
+        for tenant in tenants
+        if spans[tenant]
+        for start, end, depth in _merge_intervals(spans[tenant])
+    ]
     violations.sort(key=lambda v: (v.start, v.tenant))
     return violations
 
 
-def quadratic_penalty(violations: list[SlaViolation], rate: float = 1.0) -> float:
-    """Penalty in rate units: duration (s) weighted by impacted capacity squared.
-
-    Accumulated in integer milliseconds so that single-VM-impact runs satisfy
-    penalty == rate * total duration exactly.
-    """
-    weighted_ms = sum(v.duration_ms * (v.impacted_vms**2) for v in violations)
-    return rate * ms_to_seconds(weighted_ms)
-
-
 def penalty_report(violations: list[SlaViolation], tenants: list[str]) -> PenaltyReport:
-    report = PenaltyReport()
-    for tenant in tenants:
-        mine = [v for v in violations if v.tenant == tenant]
-        report.per_tenant[tenant] = TenantPenalty(
-            tenant=tenant,
-            violation_count=len(mine),
-            min_impacted=min((v.impacted_vms for v in mine), default=0),
-            max_impacted=max((v.impacted_vms for v in mine), default=0),
-            total_duration_ms=sum(v.duration_ms for v in mine),
-            weighted_ms=sum(v.duration_ms * (v.impacted_vms**2) for v in mine),
-        )
-    return report
+    """Per-tenant count, impact range, total and squared-impact-weighted
+    duration of the violations; tenants not listed are left out."""
+    per_tenant = {t: TenantPenalty(t, 0, 0, 0, 0, 0) for t in tenants}
+    for v in violations:
+        p = per_tenant.get(v.tenant)
+        if p is None:
+            continue
+        impacted = v.impacted_vms
+        duration = v.end - v.start
+        if p.violation_count == 0 or impacted < p.min_impacted:
+            p.min_impacted = impacted
+        if impacted > p.max_impacted:
+            p.max_impacted = impacted
+        p.violation_count += 1
+        p.total_duration_ms += duration
+        p.weighted_ms += duration * impacted * impacted
+    return PenaltyReport(per_tenant)
 
 
-@dataclass
+@dataclass(slots=True)
 class ComparisonRow:
     method: str
     total_duration_s: float

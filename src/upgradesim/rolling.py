@@ -104,6 +104,7 @@ class Fleet:
     cluster: ClusterState
     placement: Placement  # each ordering moves VMs on a copy
     upgrade_resource: dict[str, str]  # host -> its hypervisor, or itself
+    tenants: list[str]  # sorted tenant ids, for the SLA accounting
 
     @classmethod
     def of(cls, cluster: ClusterState) -> "Fleet":
@@ -112,7 +113,12 @@ class Fleet:
         for h in placement.hosts:
             hv = cluster.hypervisor_of(h)
             resource[h] = hv.resource_id if hv is not None else h
-        return cls(cluster=cluster, placement=placement, upgrade_resource=resource)
+        return cls(
+            cluster=cluster,
+            placement=placement,
+            upgrade_resource=resource,
+            tenants=sorted(cluster.tenants),
+        )
 
 
 def run_single_ordering(
@@ -129,6 +135,10 @@ def run_single_ordering(
     rounds = 0
     migrations = 0
     infeasible = False
+    # looked up once: the loops below run once per VM moved
+    emit, destination, move = log.emit, placement.destination, placement.move
+    vms_on, group_of = placement.vms, placement.group_of
+    migration_ms, outage_ms = timing.migration_ms, timing.migration_outage_ms
 
     batches = [
         list(ordering[i : i + cfg.batch_size]) for i in range(0, len(ordering), cfg.batch_size)
@@ -137,23 +147,22 @@ def run_single_ordering(
         moves: list[tuple[str, str, str]] = []
         eligible = None
         for host_id in batch:
-            for vm_id in list(placement.vms[host_id]):
+            for vm_id in list(vms_on[host_id]):
                 if eligible is None:
                     eligible = [h for h in placement.hosts if h not in batch]
-                dest = placement.destination(vm_id, eligible, not_upgraded)
+                dest = destination(vm_id, eligible, not_upgraded)
                 if dest is None:
                     infeasible = True
-                    log.emit(clock, "evacuation-infeasible", host=host_id, vm=vm_id)
+                    emit(clock, "evacuation-infeasible", host=host_id, vm=vm_id)
                     continue
                 moves.append((vm_id, host_id, dest))
-                placement.move(vm_id, host_id, dest)  # seen by the next placement check
+                move(vm_id, host_id, dest)  # seen by the next placement check
         if moves:
             rounds += 1
-            end = clock + timing.migration_ms
+            end = clock + migration_ms
             for vm_id, source, dest in moves:
-                migrations += 1
-                tenant, group = placement.group_of[vm_id]
-                log.emit(
+                tenant, group = group_of[vm_id]
+                emit(
                     end,
                     "vm-migrated",
                     vm=vm_id,
@@ -163,32 +172,32 @@ def run_single_ordering(
                     to_host=dest,
                     started_at=clock,
                 )
-                log.emit(
+                emit(
                     end,
                     "vm-outage",
                     vm=vm_id,
                     tenant=tenant,
                     group=group,
-                    start=end - timing.migration_outage_ms,
+                    start=end - outage_ms,
                     end=end,
                     cause="migration",
                 )
+            migrations += len(moves)
             clock = end
         end = clock + cfg.upgrade_ms
         for host_id in batch:
             not_upgraded.discard(host_id)
             resource = fleet.upgrade_resource[host_id]
-            log.emit(end, "host-upgraded", host=host_id, resource=resource, started_at=clock)
+            emit(end, "host-upgraded", host=host_id, resource=resource, started_at=clock)
         clock = end
-    tenants = sorted(fleet.cluster.tenants)
-    violations = compute_sla_violations(log, tenants)
+    violations = compute_sla_violations(log, fleet.tenants)
     return RollingRun(
         ordering=ordering,
         duration_ms=clock - fleet.cluster.clock,
         evacuation_rounds=rounds,
         vm_migrations=migrations,
         log=log,
-        penalties=penalty_report(violations, tenants),
+        penalties=penalty_report(violations, fleet.tenants),
         infeasible=infeasible,
     )
 

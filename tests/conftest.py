@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from upgradesim.engine import EventLog
 from upgradesim.scenario import Scenario, load_scenario, parse_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -119,3 +120,8 @@ def ppu_vm_upgrade_json(duration_seconds: float) -> dict:
     data = json.loads((SCENARIO_DIR / "ppu-storage.json").read_text())
     data["vm_upgrade"] = {"product": "image", "version": "2", "duration_seconds": duration_seconds}
     return data
+
+
+def of_kind(log: EventLog, kind: str) -> list[dict]:
+    """The records of ``log`` of one kind, in log order."""
+    return [r for r in log.records if r["kind"] == kind]

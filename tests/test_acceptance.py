@@ -20,7 +20,7 @@ from upgradesim.rolling import RollingBaselineConfig, run_rolling_baseline
 from upgradesim.scenario import build_cluster, build_coordinator, build_timing, parse_scenario
 from upgradesim.vm_migration import vm_migration_budget
 
-from conftest import scenario_json, toy_scenario
+from conftest import of_kind, scenario_json, toy_scenario
 from test_planner import make_view
 
 
@@ -352,13 +352,13 @@ def test_criterion_7_dynamicity(scenario_burst, scenario_suspension):
     burst_result = burst_coordinator.run(max_sim_time_ms=50_000_000)
     no_rejections = (
         burst_coordinator.engine.capacity_rejections == 0
-        and not burst_result.log.of_kind("scaling-capacity-rejected")
+        and not of_kind(burst_result.log, "scaling-capacity-rejected")
     )
     burst_done = (
         burst_result.phase == Phase.TERMINATED
         and burst_result.set_statuses == {"cs-hypervisors": "completed"}
     )
-    placed = [r for r in burst_result.log.of_kind("scale-out") if r["placed"] > 0]
+    placed = [r for r in of_kind(burst_result.log, "scale-out") if r["placed"] > 0]
 
     suspension_coordinator = build_coordinator(scenario_suspension)
     suspension_result = suspension_coordinator.run(max_sim_time_ms=200_000_000)
@@ -398,14 +398,14 @@ def test_criterion_8_ppu(scenario_ppu):
         if rec["kind"] == "vm-migrated" and rec.get("to_host", "").startswith("b")
         or rec["kind"] == "vm-migrated"
     ]
-    last_migration = max((rec["at"] for rec in result.log.of_kind("vm-migrated")), default=0)
+    last_migration = max((rec["at"] for rec in of_kind(result.log, "vm-migrated")), default=0)
     vsan_down = [
         rec["at"]
         for rec in result.log.records
         if rec["kind"] == "resource-deactivated" and rec["resource"] == "vsan-1"
     ]
     old_active_until_drained = bool(vsan_down) and vsan_down[0] > last_migration
-    no_gaps = not result.log.of_kind("vm-service-gap")
+    no_gaps = not of_kind(result.log, "vm-service-gap")
     check(
         8,
         "local parallel universe",

@@ -3,7 +3,7 @@ import json
 from upgradesim.coordinator import Phase
 from upgradesim.scenario import build_coordinator, parse_scenario
 
-from conftest import ppu_vm_upgrade_json, scenario_json, toy_scenario
+from conftest import of_kind, ppu_vm_upgrade_json, scenario_json, toy_scenario
 
 
 def run(scenario, cap_ms=50_000_000, seed=None):
@@ -42,7 +42,7 @@ class TestBasics:
         # the engine log carries the same actions exactly once each
         logged = [
             (r["action_id"], r["target"], r["started_at"])
-            for r in result.log.of_kind("action")
+            for r in of_kind(result.log, "action")
         ]
         assert sorted(logged) == sorted(counted)
 
@@ -95,10 +95,10 @@ class TestSuspension:
         coordinator, result = run(parse_scenario(ppu_vm_upgrade_json(60)))
         assert result.phase == Phase.TERMINATED
         assert result.set_statuses == {"cs-storage": "completed"}
-        migrated = sorted({e["vm"] for e in result.log.of_kind("vm-migrated")})
+        migrated = sorted({e["vm"] for e in of_kind(result.log, "vm-migrated")})
         assert migrated
         assert all(coordinator.cluster.vms[vm].version == "2" for vm in migrated)
-        upgraded = sorted((e["vm"], e["version"]) for e in result.log.of_kind("vm-upgraded"))
+        upgraded = sorted((e["vm"], e["version"]) for e in of_kind(result.log, "vm-upgraded"))
         assert upgraded == [(vm, "2") for vm in migrated]
 
 
@@ -211,10 +211,10 @@ class TestClusterEvents:
         )
         coordinator, result = run(scenario)
         assert result.phase == Phase.TERMINATED
-        assert not result.log.of_kind("vm-stranded")
-        failover = result.log.of_kind("vm-failover")
+        assert not of_kind(result.log, "vm-stranded")
+        failover = of_kind(result.log, "vm-failover")
         assert failover and failover[0]["vm"] == "T1.1"
-        outage = [r for r in result.log.of_kind("vm-outage") if r["cause"] == "host-failure"]
+        outage = [r for r in of_kind(result.log, "vm-outage") if r["cause"] == "host-failure"]
         assert outage and outage[0]["end"] - outage[0]["start"] == 10_000
 
     def test_event_log_timestamps_non_decreasing(self, scenario_ppu):

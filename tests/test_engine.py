@@ -11,6 +11,8 @@ from upgradesim.errors import (
 )
 from upgradesim.planner import TimingConstants
 
+from conftest import of_kind
+
 
 def small_cluster(hosts=3, k=2):
     cluster = ClusterState()
@@ -107,7 +109,7 @@ class TestExecuteSchedule:
             "s", 0, (one_lane("l1", migrate_action("T1.1", "h1", "h2")),)
         )
         engine.execute_schedule(schedule)
-        outage = engine.log.of_kind("vm-outage")[0]
+        outage = of_kind(engine.log, "vm-outage")[0]
         assert outage["end"] - outage["start"] == 600
         assert outage["end"] == 23_000
         assert cluster.vms["T1.1"].host == "h2"
@@ -151,7 +153,7 @@ class TestScaling:
         cluster.tenants["T1"].max_vms = 2
         engine = engine_for(cluster)
         engine.apply_scaling(ScenarioEvent(0, "scale-out", {"tenant": "T1"}))
-        assert engine.log.of_kind("scale-out")[0]["clamped"] is True
+        assert of_kind(engine.log, "scale-out")[0]["clamped"] is True
         assert len(cluster.vms) == 2
 
     def test_scale_out_within_cooldown_deferred_to_expiry(self):
@@ -160,10 +162,10 @@ class TestScaling:
         engine.apply_scaling(ScenarioEvent(0, "scale-out", {"tenant": "T1"}))
         assert len(cluster.vms) == 3
         engine.apply_scaling(ScenarioEvent(40_000, "scale-out", {"tenant": "T1"}))
-        deferred = engine.log.of_kind("scaling-deferred")
+        deferred = of_kind(engine.log, "scaling-deferred")
         assert deferred and deferred[0]["until"] == 120_000
         engine.advance_to(120_000)
-        assert engine.log.of_kind("scale-out")[-1]["at"] == 120_000
+        assert of_kind(engine.log, "scale-out")[-1]["at"] == 120_000
 
     def test_scale_out_respects_anti_affinity(self):
         cluster = self._tenant_cluster()
@@ -197,7 +199,7 @@ class TestHostFailure:
         engine.inject_host_failure("h1")
         assert not cluster.resources["h1"].up
         assert cluster.vms["T1.1"].host in ("h2", "h3")
-        outage = engine.log.of_kind("vm-outage")[0]
+        outage = of_kind(engine.log, "vm-outage")[0]
         assert outage["cause"] == "host-failure"
         assert outage["end"] - outage["start"] == 10_000
 
@@ -206,7 +208,7 @@ class TestHostFailure:
         engine = engine_for(cluster)
         engine.inject_host_failure("h3")
         assert not cluster.resources["h3"].up
-        assert engine.log.of_kind("vm-outage") == []
+        assert of_kind(engine.log, "vm-outage") == []
 
     def test_unknown_host(self):
         engine = engine_for(small_cluster())
@@ -224,12 +226,39 @@ class TestHostFailure:
         cluster.clock = 7_000
         cluster.resources["h1"].active = False
         engine.fail_over(cluster.vms_on("h1"), cluster.clock, record_outage=False)
-        failover = engine.log.of_kind("vm-failover")
+        failover = of_kind(engine.log, "vm-failover")
         assert [(r["vm"], r["to_host"], r["at"]) for r in failover] == [("T1.1", "h2", 7_000)]
-        assert [r["vm"] for r in engine.log.of_kind("vm-stranded")] == ["T1.2"]
-        assert engine.log.of_kind("vm-outage") == []
+        assert [r["vm"] for r in of_kind(engine.log, "vm-stranded")] == ["T1.2"]
+        assert of_kind(engine.log, "vm-outage") == []
         assert [v.vm_id for v in cluster.vms_on("h2")] == ["T1.1"]
         assert cluster.vms_on("h1") == [] and cluster.vms["T1.2"].host is None
+
+
+class TestServiceContinuity:
+    def test_gap_only_where_no_declared_storage_is_in_service(self):
+        cluster = small_cluster(hosts=4, k=3)
+        cluster.tenants["T1"] = TenantSLA("T1", 1, 9, 1, 120_000, committed=6)
+        storage = [
+            ("vs-a", ("h1", "h2"), {}),
+            ("vs-b", ("h2", "h3"), {"up": False}),  # h2 stays backed by vs-a
+            ("vs-c", ("h3",), {"present": False}),
+            ("vs-d", ("h3",), {"active": False}),
+            ("vs-old", ("h4",), {"removed": True}),  # h4 declares no storage
+        ]
+        for rid, serves, flags in storage:
+            cluster.add_resource(SimResource(
+                resource_id=rid, kind="virtual-storage", serves=serves, **flags,
+            ))
+        for vm_id, group, host in [
+            ("T1.1", "g1", "h1"), ("T1.2", "g1", "h2"), ("T1.3", "g1", "h3"),
+            ("T1.10", "g2", "h3"), ("T1.4", "g1", "h4"), ("T1.6", "g4", None),
+        ]:
+            cluster.add_vm(VmState(vm_id, "T1", group, host))
+        cluster.add_vm(VmState("T1.5", "T1", "g3", "h3", up=False))
+        engine = engine_for(cluster)
+        engine.check_vm_service_continuity()
+        gaps = [(r["vm"], r["host"]) for r in of_kind(engine.log, "vm-service-gap")]
+        assert gaps == [("T1.10", "h3"), ("T1.3", "h3")]
 
 
 class TestDeterminism:

@@ -1,3 +1,8 @@
+import json
+
+from hypothesis import example, given, settings, strategies as st
+
+from upgradesim import metrics
 from upgradesim.engine import EventLog
 from upgradesim.metrics import (
     SlaViolation,
@@ -7,9 +12,19 @@ from upgradesim.metrics import (
     compute_sla_violations,
     penalty_report,
     per_vm_outage_totals,
-    quadratic_penalty,
-    vm_outages,
 )
+from upgradesim.scenario import build_coordinator
+
+import metrics_oracle as oracle
+from metrics_oracle import vm_outages
+
+
+def quadratic_penalty(violations: list[SlaViolation], rate: float = 1.0) -> float:
+    """Penalty in rate units: duration (s) weighted by impacted capacity
+    squared, summed over the violations' tenants by ``penalty_report``."""
+    tenants = sorted({v.tenant for v in violations})
+    report = penalty_report(violations, tenants)
+    return rate * sum(t.penalty_q for t in report.per_tenant.values())
 
 
 def log_with(*outages, committed=None):
@@ -137,3 +152,103 @@ def test_outage_extraction_sorted():
     records = vm_outages(log)
     assert [r.subject for r in records] == ["a", "b"]
     assert per_vm_outage_totals(log) == {"a": 600, "b": 600}
+
+
+# -- the one-pass accounting against the reference in metrics_oracle --------------
+
+TENANT_POOL = ["T1", "T2", "T3", "T4"]
+
+
+@st.composite
+def event_logs(draw):
+    """Small logs whose outages often start, end or sit at the same instant
+    (zero-length, touching, nested and overlapping), with commitment records
+    in any order, and tenants listed or not."""
+    records = []
+    for _ in range(draw(st.integers(0, 14))):
+        tenant = draw(st.sampled_from(TENANT_POOL))
+        start = draw(st.integers(0, 40))
+        records.append((
+            "vm-outage",
+            tenant,
+            {
+                "vm": f"{tenant}.{draw(st.integers(1, 3))}",
+                "group": draw(st.sampled_from(["g1", "g2"])),
+                "start": start,
+                "end": start + draw(st.sampled_from([0, 5, 10, 20])),
+                "cause": "migration",
+            },
+        ))
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["tenant-initial", "tenant-committed"]))
+        records.append((
+            kind,
+            draw(st.sampled_from(TENANT_POOL)),
+            {"count": draw(st.integers(0, 3)), "at": draw(st.integers(0, 40))},
+        ))
+    records = draw(st.permutations(records))
+    log = EventLog()
+    for kind, tenant, fields in records:
+        at = fields.pop("at", fields.get("end", 0))
+        log.emit(at, kind, tenant=tenant, **fields)
+    tenants = draw(st.lists(st.sampled_from(TENANT_POOL), unique=True))
+    return log, tenants
+
+
+def _touching_outages():
+    log = EventLog()
+    log.emit(0, "tenant-initial", tenant="T1", count=2)
+    for vm, start, end in (("T1.1", 0, 10), ("T1.2", 10, 20)):
+        log.emit(end, "vm-outage", vm=vm, tenant="T1", group="g1",
+                 start=start, end=end, cause="migration")
+    return log, ["T1"]
+
+
+def _commitments_out_of_time_order():
+    # the entry latest in the log holds, not the one latest in time
+    log = EventLog()
+    log.emit(20, "tenant-committed", tenant="T1", count=2)
+    log.emit(10, "tenant-committed", tenant="T1", count=1)
+    log.emit(35, "vm-outage", vm="T1.1", tenant="T1", group="g1",
+             start=25, end=35, cause="migration")
+    return log, ["T1"]
+
+
+def _accounting(module, log, tenants):
+    violations = module.compute_sla_violations(log, tenants)
+    return (
+        violations,
+        module.penalty_report(violations, tenants),
+        module.compute_application_outage(log, tenants),
+        module.per_vm_outage_totals(log),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(event_logs())
+@example(_touching_outages())
+@example(_commitments_out_of_time_order())
+def test_one_pass_accounting_matches_the_reference(log_and_tenants):
+    log, tenants = log_and_tenants
+    assert _accounting(metrics, log, tenants) == _accounting(oracle, log, tenants)
+
+
+@settings(max_examples=50, deadline=None)
+@given(event_logs())
+def test_a_log_with_assigned_records_reads_like_an_emitted_one(log_and_tenants):
+    # perfbench/run.py fills ``records`` from events.jsonl without ``emit``
+    log, tenants = log_and_tenants
+    assigned = EventLog()
+    assigned.records = [json.loads(json.dumps(r)) for r in log.records]
+    assert _accounting(metrics, assigned, tenants) == _accounting(metrics, log, tenants)
+
+
+def test_a_run_read_back_from_events_jsonl_reads_like_the_run(scenario_a):
+    coordinator = build_coordinator(scenario_a)
+    result = coordinator.run()
+    tenants = sorted(coordinator.cluster.tenants)
+    read_back = EventLog()
+    read_back.records = [json.loads(line) for line in result.log.to_jsonl().splitlines()]
+    ran = _accounting(metrics, result.log, tenants)
+    assert ran[0] and sum(ran[2].values())  # the run has violations and application outage
+    assert _accounting(metrics, read_back, tenants) == ran

@@ -22,7 +22,7 @@ from upgradesim.rolling import (
 )
 from upgradesim.scenario import build_cluster, build_timing, load_scenario
 
-from conftest import SCENARIO_DIR, toy_scenario
+from conftest import SCENARIO_DIR, of_kind, toy_scenario
 
 
 def _eligible(state: ClusterState, vm_id: str, host_id: str, batch: set[str]) -> bool:
@@ -83,7 +83,7 @@ def replay(base: ClusterState, run: RollingRun, batch_size: int) -> None:
                 moves, stranded, done = [], {}, set()
     assert not batches and not moves and not stranded
     assert run.infeasible == any(r["kind"] == "evacuation-infeasible" for r in run.log.records)
-    assert run.vm_migrations == len(run.log.of_kind("vm-migrated"))
+    assert run.vm_migrations == len(of_kind(run.log, "vm-migrated"))
 
 
 @st.composite
