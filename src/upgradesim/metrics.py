@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import io
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from upgradesim.engine import EventLog
@@ -41,7 +40,7 @@ class TenantPenalty:
         return self.weighted_ms / 1000
 
 
-@dataclass(slots=True)
+@dataclass
 class PenaltyReport:
     per_tenant: dict[str, TenantPenalty] = field(default_factory=dict)
 
@@ -119,12 +118,12 @@ def compute_application_outage(log: EventLog, tenants: list[str]) -> dict[str, i
             timeline.setdefault(r["tenant"], []).insert(0, (r["at"], r["count"]))
     result: dict[str, int] = {}
     for tenant in tenants:
-        committed_at = _committed_lookup(timeline.get(tenant, []))
+        committed = timeline.get(tenant, [])
         total = 0
         for group_spans in spans[tenant].values():
             total += _overlap_at_depth(group_spans, 2)
             for start, end in group_spans:
-                if committed_at(start) == 1:
+                if _committed_at(committed, start) == 1:
                     total += end - start
         result[tenant] = total
     return result
@@ -145,22 +144,14 @@ def _overlap_at_depth(spans: list[tuple[int, int]], depth: int) -> int:
     return total
 
 
-def _committed_lookup(timeline: list[tuple[int, int]]):
-    """``at -> committed count``: the count of the latest entry of
-    ``timeline`` (in log order) stamped at or before ``at``; 0 before any."""
-    times: list[int] = []
-    counts: list[int] = []
-    latest = -1
-    for i in sorted(range(len(timeline)), key=lambda i: timeline[i][0]):
-        latest = max(latest, i)
-        times.append(timeline[i][0])
-        counts.append(timeline[latest][1])
-
-    def committed_at(at: int) -> int:
-        k = bisect_right(times, at)
-        return counts[k - 1] if k else 0
-
-    return committed_at
+def _committed_at(timeline: list[tuple[int, int]], at: int) -> int:
+    """The count of the latest entry (in log order) stamped at or before
+    ``at``; 0 before any."""
+    count = 0
+    for ts, value in timeline:
+        if ts <= at:
+            count = value
+    return count
 
 
 def compute_sla_violations(log: EventLog, tenants: list[str]) -> list[SlaViolation]:
@@ -202,7 +193,7 @@ def penalty_report(violations: list[SlaViolation], tenants: list[str]) -> Penalt
     return PenaltyReport(per_tenant)
 
 
-@dataclass(slots=True)
+@dataclass
 class ComparisonRow:
     method: str
     total_duration_s: float

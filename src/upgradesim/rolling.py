@@ -104,7 +104,6 @@ class Fleet:
     cluster: ClusterState
     placement: Placement  # each ordering moves VMs on a copy
     upgrade_resource: dict[str, str]  # host -> its hypervisor, or itself
-    tenants: list[str]  # sorted tenant ids, for the SLA accounting
 
     @classmethod
     def of(cls, cluster: ClusterState) -> "Fleet":
@@ -113,12 +112,7 @@ class Fleet:
         for h in placement.hosts:
             hv = cluster.hypervisor_of(h)
             resource[h] = hv.resource_id if hv is not None else h
-        return cls(
-            cluster=cluster,
-            placement=placement,
-            upgrade_resource=resource,
-            tenants=sorted(cluster.tenants),
-        )
+        return cls(cluster=cluster, placement=placement, upgrade_resource=resource)
 
 
 def run_single_ordering(
@@ -135,10 +129,6 @@ def run_single_ordering(
     rounds = 0
     migrations = 0
     infeasible = False
-    # looked up once: the loops below run once per VM moved
-    emit, destination, move = log.emit, placement.destination, placement.move
-    vms_on, group_of = placement.vms, placement.group_of
-    migration_ms, outage_ms = timing.migration_ms, timing.migration_outage_ms
 
     batches = [
         list(ordering[i : i + cfg.batch_size]) for i in range(0, len(ordering), cfg.batch_size)
@@ -147,22 +137,23 @@ def run_single_ordering(
         moves: list[tuple[str, str, str]] = []
         eligible = None
         for host_id in batch:
-            for vm_id in list(vms_on[host_id]):
+            for vm_id in list(placement.vms[host_id]):
                 if eligible is None:
                     eligible = [h for h in placement.hosts if h not in batch]
-                dest = destination(vm_id, eligible, not_upgraded)
+                dest = placement.destination(vm_id, eligible, not_upgraded)
                 if dest is None:
                     infeasible = True
-                    emit(clock, "evacuation-infeasible", host=host_id, vm=vm_id)
+                    log.emit(clock, "evacuation-infeasible", host=host_id, vm=vm_id)
                     continue
                 moves.append((vm_id, host_id, dest))
-                move(vm_id, host_id, dest)  # seen by the next placement check
+                placement.move(vm_id, host_id, dest)  # seen by the next placement check
         if moves:
             rounds += 1
-            end = clock + migration_ms
+            end = clock + timing.migration_ms
             for vm_id, source, dest in moves:
-                tenant, group = group_of[vm_id]
-                emit(
+                migrations += 1
+                tenant, group = placement.group_of[vm_id]
+                log.emit(
                     end,
                     "vm-migrated",
                     vm=vm_id,
@@ -172,32 +163,32 @@ def run_single_ordering(
                     to_host=dest,
                     started_at=clock,
                 )
-                emit(
+                log.emit(
                     end,
                     "vm-outage",
                     vm=vm_id,
                     tenant=tenant,
                     group=group,
-                    start=end - outage_ms,
+                    start=end - timing.migration_outage_ms,
                     end=end,
                     cause="migration",
                 )
-            migrations += len(moves)
             clock = end
         end = clock + cfg.upgrade_ms
         for host_id in batch:
             not_upgraded.discard(host_id)
             resource = fleet.upgrade_resource[host_id]
-            emit(end, "host-upgraded", host=host_id, resource=resource, started_at=clock)
+            log.emit(end, "host-upgraded", host=host_id, resource=resource, started_at=clock)
         clock = end
-    violations = compute_sla_violations(log, fleet.tenants)
+    tenants = sorted(fleet.cluster.tenants)
+    violations = compute_sla_violations(log, tenants)
     return RollingRun(
         ordering=ordering,
         duration_ms=clock - fleet.cluster.clock,
         evacuation_rounds=rounds,
         vm_migrations=migrations,
         log=log,
-        penalties=penalty_report(violations, fleet.tenants),
+        penalties=penalty_report(violations, tenants),
         infeasible=infeasible,
     )
 
