@@ -61,10 +61,6 @@ class TimedAction:
     offset_ms: int
     action: ResolvedAction
 
-    @property
-    def end_offset_ms(self) -> int:
-        return self.offset_ms + self.action.duration_ms
-
 
 @dataclass(frozen=True)
 class Lane:
@@ -73,9 +69,6 @@ class Lane:
     lane_id: str
     targets: tuple[str, ...]
     steps: tuple[TimedAction, ...]
-
-    def duration_ms(self) -> int:
-        return max((s.end_offset_ms for s in self.steps), default=0)
 
 
 @dataclass(frozen=True)

@@ -371,8 +371,6 @@ class Coordinator:
                 final,
                 groups,
                 self.rg,
-                self.cluster,
-                view,
                 self.timing,
                 self._next_schedule_id("batch"),
                 self.cluster.clock,

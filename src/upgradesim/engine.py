@@ -240,9 +240,10 @@ class Engine:
         if res is None:
             raise UnknownResourceError(f"action targets unknown resource {action.target!r}")
         if kind == ActionKind.DEACTIVATE:
-            if res.is_host and self.cluster.vms_on(res.resource_id):
+            host_id = res.resource_id if res.is_host else res.container
+            if host_id is not None and self.cluster.vms_on(host_id):
                 raise SimulationInvariantError(
-                    f"deactivating host {res.resource_id!r} that still carries VMs"
+                    f"deactivating {res.resource_id!r} while host {host_id!r} still carries VMs"
                 )
             res.active = False
             self.log.emit(end, "resource-deactivated", resource=res.resource_id)

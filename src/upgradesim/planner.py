@@ -10,7 +10,7 @@ iteration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from upgradesim.actions import (
     ActionKind,
@@ -91,6 +91,8 @@ class PartitionView:
 class Batch:
     groups: tuple[str, ...]
     kind: str  # "initial" | "final"
+    # final batch: each group's checked evacuation moves, aligned with groups
+    evacuations: tuple[tuple[PlannedMigration, ...], ...] = ()
 
     def __bool__(self) -> bool:
         return bool(self.groups)
@@ -621,16 +623,15 @@ def _hosts_deactivated_by(group: ResourceGroup, rg: ResourceGraph, cluster: Clus
 
 
 def _plan_evacuations(
-    group: ResourceGroup,
-    rg: ResourceGraph,
+    hosts: list[str],
     cluster: ClusterState,
     view: PartitionView,
     excluded_hosts: set[str],
     placement: Placement,
     pending: frozenset[str],
 ) -> list[PlannedMigration] | None:
-    """Assign destinations for every VM on hosts this group deactivates,
-    moving them on ``placement``.
+    """Assign destinations for every VM on ``hosts``, the hosts a group
+    deactivates, moving them on ``placement``.
 
     Destinations prefer hosts with no ``pending`` work; hosts that still
     await their own upgrade are used as a last resort and mark the move as
@@ -638,7 +639,7 @@ def _plan_evacuations(
     cannot be placed at all.
     """
     moves: list[PlannedMigration] = []
-    for host_id in _hosts_deactivated_by(group, rg, cluster):
+    for host_id in hosts:
         eligible = [h for h in _beside(view, placement.hosts, host_id) if h not in excluded_hosts]
         for vm in cluster.vms_on(host_id):
             dest = placement.destination(vm.vm_id, eligible, pending)
@@ -796,25 +797,22 @@ def _first_violated_rule(
             ]
             if len(active_left) < policies.min_active_peers:
                 return "peer-availability"
-    for edge in rg.edges:
-        if edge.kind != DependencyKind.AGGREGATION or edge.presence == Presence.FUTURE:
-            continue
-        if edge.target not in deactivating:
-            continue
-        aggregate = edge.source
-        min_needed = edge.min_sponsors or 0
-        active_constituents = 0
-        for e2 in rg.edges_from(aggregate):
-            if e2.kind != DependencyKind.AGGREGATION or e2.presence == Presence.FUTURE:
+    for rid in sorted(deactivating):
+        for edge in rg.edges_to(rid):
+            if edge.kind != DependencyKind.AGGREGATION or edge.presence == Presence.FUTURE:
                 continue
-            sponsor = e2.target
-            if sponsor in deactivating:
-                continue
-            sim = cluster.resources.get(sponsor)
-            if sim is not None and sim.in_service:
-                active_constituents += 1
-        if active_constituents < min_needed:
-            return "aggregation-availability"
+            active_constituents = 0
+            for e2 in rg.edges_from(edge.source):
+                if e2.kind != DependencyKind.AGGREGATION or e2.presence == Presence.FUTURE:
+                    continue
+                sponsor = e2.target
+                if sponsor in deactivating:
+                    continue
+                sim = cluster.resources.get(sponsor)
+                if sim is not None and sim.in_service:
+                    active_constituents += 1
+            if active_constituents < (edge.min_sponsors or 0):
+                return "aggregation-availability"
 
     # storage capacity for pending local-parallel-universe upgrades
     for unit_id in sorted(rg.upgrade_units):
@@ -837,8 +835,8 @@ def _first_violated_rule(
             return "storage-capacity"
 
     # VM service: the group's hosts must be evacuable under anti-affinity
-    own_hosts = set(_hosts_deactivated_by(group, rg, cluster))
-    if _plan_evacuations(group, rg, cluster, view, own_hosts, placement, pending) is None:
+    own_hosts = _hosts_deactivated_by(group, rg, cluster)
+    if _plan_evacuations(own_hosts, cluster, view, set(own_hosts), placement, pending) is None:
         return "vm-evacuability"
 
     # dependency ordering for removals and additions
@@ -936,47 +934,53 @@ def select_final_batch(
 
     Not-in-use groups first, then fewest affected compute hosts, then id.
     Groups whose method keeps them deactivated afterwards are additionally
-    bounded by the dedicated upgrade pool. Evacuations are re-verified
-    against the combined selection so a later pick cannot strand an earlier
-    one's VMs.
+    bounded by the dedicated upgrade pool. Each group's evacuations are
+    planned on the placement the moves accepted so far left, away from every
+    host the selection deactivates so far, and kept in ``Batch.evacuations``
+    for the schedule to run. A group is skipped when some VM of its hosts
+    cannot be placed, or when a move already accepted lands on a host it
+    deactivates, so the checked moves stay valid for the whole batch.
     """
     groups = [groups_by_id[g] for g in batch.groups]
+    deactivated = {g.group_id: _hosts_deactivated_by(g, rg, cluster) for g in groups}
 
     def in_use(group: ResourceGroup) -> bool:
-        return any(
-            cluster.vms_on(h) for h in _hosts_deactivated_by(group, rg, cluster)
-        )
+        return any(cluster.vms_on(h) for h in deactivated[group.group_id])
 
-    def affected(group: ResourceGroup) -> int:
-        return len(_hosts_deactivated_by(group, rg, cluster))
-
-    groups.sort(key=lambda g: (in_use(g), affected(g), g.group_id))
+    groups.sort(key=lambda g: (in_use(g), len(deactivated[g.group_id]), g.group_id))
 
     selected: list[ResourceGroup] = []
+    evacuations: list[tuple[PlannedMigration, ...]] = []
     hosts_taken = 0
     dedicated_used = 0
     excluded: set[str] = set()
+    destinations: set[str] = set()
     placement = Placement.of(cluster)
     pending = _hosts_with_pending_work(rg, cluster, placement.hosts)
     for group in groups:
-        cost = affected(group)
-        if hosts_taken + cost > budget.out_of_service_budget:
+        hosts = deactivated[group.group_id]
+        if hosts_taken + len(hosts) > budget.out_of_service_budget:
             continue
         stays_down = sum(
             1 for rid, lvl in group.first_levels(rg) if _stays_deactivated(rg, rid, lvl)
         )
         if stays_down and dedicated_used + stays_down > policies.dedicated_upgrade_hosts:
             continue
-        tentative_excluded = excluded | set(_hosts_deactivated_by(group, rg, cluster))
+        if destinations.intersection(hosts):
+            continue
+        tentative_excluded = excluded | set(hosts)
         trial = placement.copy()
-        if _plan_evacuations(group, rg, cluster, view, tentative_excluded, trial, pending) is None:
+        moves = _plan_evacuations(hosts, cluster, view, tentative_excluded, trial, pending)
+        if moves is None:
             continue
         selected.append(group)
-        hosts_taken += cost
+        evacuations.append(tuple(moves))
+        hosts_taken += len(hosts)
         dedicated_used += stays_down
         excluded = tentative_excluded
+        destinations.update(m.dest for m in moves)
         placement = trial
-    return Batch(tuple(g.group_id for g in selected), "final")
+    return Batch(tuple(g.group_id for g in selected), "final", tuple(evacuations))
 
 
 # -- schedule construction -----------------------------------------------------------
@@ -986,46 +990,24 @@ def build_schedule(
     final: Batch,
     groups_by_id: dict[str, ResourceGroup],
     rg: ResourceGraph,
-    cluster: ClusterState,
-    view: PartitionView,
     timing: TimingConstants,
     schedule_id: str,
     issued_at: int,
 ) -> RuntimeUpgradeSchedule:
-    """One lane per selected group: evacuation migrations, the first-level
-    actions of each member, and wrap-up returns for parked VMs.
+    """One lane per selected group: the evacuation migrations the final batch
+    checked, the first-level actions of each member, and wrap-up returns for
+    parked VMs.
 
     Migrations across lanes are slotted so no anti-affinity group has two
     in flight at once. A split-mode second partition gets the switchover
     (deactivate old side, activate the upgraded one) as its prologue.
     """
     groups = [groups_by_id[g] for g in final.groups]
-    all_deactivated = {
-        h for g in groups for h in _hosts_deactivated_by(g, rg, cluster)
-    }
-    placement = Placement.of(cluster)
-    pending = _hosts_with_pending_work(rg, cluster, placement.hosts)
-    evac_by_group: dict[str, list[PlannedMigration]] = {}
-    flat: list[PlannedMigration] = []
-    for group in groups:
-        moves = _plan_evacuations(group, rg, cluster, view, all_deactivated, placement, pending)
-        moves = moves or []
-        evac_by_group[group.group_id] = moves
-        flat.extend(moves)
-    lane_of_move = {m.vm_id: g for g, ms in evac_by_group.items() for m in ms}
-    pairs = [
-        PlannedMigration(
-            vm_id=m.vm_id,
-            source=lane_of_move[m.vm_id],  # slot by lane (group), not host
-            dest=m.dest,
-            tenant_id=m.tenant_id,
-            group_id=m.group_id,
-            parked=m.parked,
-        )
-        for m in flat
-    ]
-    offsets = migration_offsets(pairs, timing.migration_ms)
-    offset_of = {m.vm_id: off for m, off in zip(flat, offsets)}
+    evac_by_group = dict(zip(final.groups, final.evacuations))
+    # slot by lane (group), not host
+    by_lane = [replace(m, source=g) for g, moves in evac_by_group.items() for m in moves]
+    offsets = migration_offsets(by_lane, timing.migration_ms)
+    offset_of = {m.vm_id: off for m, off in zip(by_lane, offsets)}
 
     lanes: list[Lane] = []
     for group in groups:
@@ -1043,16 +1025,8 @@ def build_schedule(
 
         moves = evac_by_group[group.group_id]
         for m in sorted(moves, key=lambda m: offset_of[m.vm_id]):
-            real = PlannedMigration(
-                vm_id=m.vm_id,
-                source=m.source,
-                dest=m.dest,
-                tenant_id=m.tenant_id,
-                group_id=m.group_id,
-                parked=m.parked,
-            )
             steps.append(
-                TimedAction(offset_of[m.vm_id], migration_action(real, timing, role="prerequisite"))
+                TimedAction(offset_of[m.vm_id], migration_action(m, timing, role="prerequisite"))
             )
             targets.append(m.vm_id)
             cursor = max(cursor, offset_of[m.vm_id] + timing.migration_ms)

@@ -20,20 +20,6 @@ class Status(str, enum.Enum):
     FAILED = "failed"
 
 
-_ORDER = {Status.NEW: 0, Status.SCHEDULED: 1, Status.COMPLETED: 2, Status.FAILED: 2}
-
-
-def advance_status(current: Status, new: Status) -> Status:
-    """Statuses only move forward: new -> scheduled -> {completed|failed}."""
-    if current == new:
-        return current
-    if current in (Status.COMPLETED, Status.FAILED):
-        raise InvalidRequestError(f"status {current.value} is terminal, cannot become {new.value}")
-    if _ORDER[new] < _ORDER[current]:
-        raise InvalidRequestError(f"status cannot regress from {current.value} to {new.value}")
-    return new
-
-
 @dataclass
 class Change:
     """One addition/removal/upgrade applied to a set of target resources."""

@@ -36,13 +36,6 @@ class Presence(str, enum.Enum):
     CURRENT_FUTURE = "current-future"
 
 
-class ModificationType(str, enum.Enum):
-    UPGRADE = "upgrade"
-    ADD = "add"
-    REMOVE = "remove"
-    NO_CHANGE = "no-change"
-
-
 class UpgradeMethod(str, enum.Enum):
     ROLLING = "rolling"
     SPLIT_MODE = "split-mode"
@@ -95,17 +88,6 @@ class Resource:
     failed_attempts: dict[str, int] = field(default_factory=dict)
     is_isolated: bool = False
     is_failed: bool = False
-
-    @property
-    def modification_type(self) -> ModificationType:
-        if not self.levels:
-            return ModificationType.NO_CHANGE
-        kind = self.levels[0].kind
-        if kind in ("upgrade", "install", "undo"):
-            return ModificationType.UPGRADE
-        if kind == "add":
-            return ModificationType.ADD
-        return ModificationType.REMOVE
 
     @property
     def in_service(self) -> bool:

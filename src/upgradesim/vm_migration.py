@@ -15,10 +15,12 @@ from upgradesim.actions import (
 from upgradesim.cluster import ClusterState, Placement, VmState
 from upgradesim.planner import (
     PartitionView,
+    PlannedMigration,
     Policies,
     TimingConstants,
     ceil_div,
     max_scaling_adjustment,
+    migration_action,
     scaling_host_reservation,
 )
 
@@ -220,26 +222,8 @@ def build_vm_schedule(
         if dest is None:
             continue
         placement.move(vm_id, vm.host, dest)
-        steps = [
-            TimedAction(
-                0,
-                ResolvedAction(
-                    action_id=f"migrate:{vm_id}",
-                    kind=ActionKind.MIGRATE_VM,
-                    target=vm_id,
-                    duration_ms=timing.migration_ms,
-                    params={
-                        "vm": vm_id,
-                        "from_host": vm.host,
-                        "to_host": dest,
-                        "tenant": vm.tenant_id,
-                        "group": vm.group_id,
-                        "outage_ms": timing.migration_outage_ms,
-                        "role": "partition-crossing",
-                    },
-                ),
-            )
-        ]
+        move = PlannedMigration(vm_id, vm.host, dest, vm.tenant_id, vm.group_id)
+        steps = [TimedAction(0, migration_action(move, timing, role="partition-crossing"))]
         if vm_upgrade is not None:
             product, version, duration = vm_upgrade
             steps.append(

@@ -139,6 +139,18 @@ class TestExecuteSchedule:
         assert cluster.vms["T1.1"].host == "h1"
         assert [vm.vm_id for vm in cluster.vms_on("h2")] == ["T1.2"]
 
+    def test_deactivating_the_hypervisor_of_an_occupied_host_raises(self):
+        cluster = small_cluster()
+        cluster.tenants["T1"] = TenantSLA("T1", 1, 4, 1, 600_000, committed=1)
+        cluster.add_vm(VmState("T1.1", "T1", "g1", "h1"))
+        deactivate = ResolvedAction(
+            action_id="deactivate:qemu-1", kind=ActionKind.DEACTIVATE, target="hv1", duration_ms=0
+        )
+        engine = engine_for(cluster)
+        with pytest.raises(SimulationInvariantError, match="'h1' still carries VMs"):
+            engine.execute_schedule(RuntimeUpgradeSchedule("s", 0, (one_lane("l1", deactivate),)))
+        assert cluster.resources["hv1"].active
+
 
 class TestScaling:
     def _tenant_cluster(self):

@@ -15,6 +15,7 @@ from upgradesim.planner import (
     TimingConstants,
     build_partition_view,
     build_schedule,
+    compute_budget,
     initial_batch,
     max_scaling_adjustment,
     migration_offsets,
@@ -29,7 +30,7 @@ from upgradesim.planner import (
 )
 from upgradesim.scenario import parse_scenario
 
-from conftest import toy_scenario
+from conftest import scenario_json, toy_scenario
 from test_resource_graph import build_env
 
 
@@ -483,7 +484,7 @@ def run_first_schedule(scenario):
     batch, _ = initial_batch(cg, rg, cluster, catalog, view, Policies())
     budget_stub = type("B", (), {"out_of_service_budget": 10})
     final = select_final_batch(batch, cg, rg, cluster, view, budget_stub, Policies())
-    schedule = build_schedule(final, cg, rg, cluster, view, TimingConstants(), "s1", 0)
+    schedule = build_schedule(final, cg, rg, TimingConstants(), "s1", 0)
     return cluster, catalog, model, rg, schedule
 
 
@@ -518,6 +519,54 @@ class TestBuildSchedule:
     def test_independent_groups_get_parallel_lanes(self):
         cluster, catalog, model, rg, schedule = run_first_schedule(toy_scenario(host_count=3))
         assert len(schedule.lanes) == 3
+
+    def test_schedule_runs_the_checked_evacuations(self):
+        # one VM per pending host and two empty hosts that cannot run VMs: an
+        # out-of-service budget of 2, and h1's VM can only park on h2 or h3
+        tenants = [
+            {"id": f"T{i}", "min_vms": 1, "max_vms": 1, "scaling_adjustment": 1,
+             "cooldown_seconds": 600, "vms": [{"id": f"T{i}.1", "host": f"h{i}"}]}
+            for i in (1, 2, 3)
+        ]
+        data = scenario_json(toy_scenario(host_count=3, capacity=2, tenants=tenants))
+        data["cluster"]["hosts"] += [
+            {"id": h, "roles": ["compute"], "capacity": 0} for h in ("h4", "h5")
+        ]
+        cluster, catalog, model, rg = build_env(parse_scenario(data))
+        cg = coarsen(rg)
+        view = build_partition_view(cluster, rg, catalog)
+        policies = Policies(tolerated_host_failures=0)
+        batch, _ = initial_batch(cg, rg, cluster, catalog, view, policies)
+        levels = [lvl for gid in batch.groups for _, lvl in cg[gid].first_levels(rg)]
+        budget = compute_budget(cluster, view, levels, policies)
+        assert budget.out_of_service_budget == 2
+        final = select_final_batch(batch, cg, rg, cluster, view, budget, policies)
+        schedule = build_schedule(final, cg, rg, TimingConstants(), "s1", 0)
+
+        def prerequisites(lane):
+            return [
+                (i, s.action.params)
+                for i, s in enumerate(lane.steps)
+                if s.action.params.get("role") == "prerequisite"
+            ]
+
+        lanes = {lane.lane_id: lane for lane in schedule.lanes}
+        for gid, moves in zip(final.groups, final.evacuations):
+            planned = [(m.vm_id, m.source, m.dest) for m in moves]
+            scheduled = prerequisites(lanes[f"lane:{gid}"])
+            assert [(p["vm"], p["from_host"], p["to_host"]) for _, p in scheduled] == planned
+        arriving: dict[str, set[str]] = {}
+        for lane in schedule.lanes:
+            for _, p in prerequisites(lane):
+                arriving.setdefault(p["to_host"], set()).add(p["vm"])
+        for lane in schedule.lanes:
+            for i, step in enumerate(lane.steps):
+                if step.action.kind != ActionKind.DEACTIVATE:
+                    continue
+                host = cluster.resources[step.action.target].container
+                carried = {vm.vm_id for vm in cluster.vms_on(host)} | arriving.get(host, set())
+                evacuated = {p["vm"] for j, p in prerequisites(lane) if j < i and p["from_host"] == host}
+                assert carried <= evacuated, (lane.lane_id, host, carried - evacuated)
         starts = {lane.steps[0].offset_ms for lane in schedule.lanes}
         assert starts == {0}
 

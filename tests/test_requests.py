@@ -7,7 +7,6 @@ from upgradesim.requests import (
     Status,
     UpgradeRequest,
     UpgradeRequestModel,
-    advance_status,
     within_deadline,
 )
 from upgradesim.scenario import build_catalog, build_cluster
@@ -148,17 +147,3 @@ class TestDeadline:
         cs = self._set()
         cs.submitted_at = 0
         assert not within_deadline(cs, 601_000)
-
-
-class TestStatusTransitions:
-    def test_forward_only(self):
-        assert advance_status(Status.NEW, Status.SCHEDULED) == Status.SCHEDULED
-        assert advance_status(Status.SCHEDULED, Status.COMPLETED) == Status.COMPLETED
-
-    def test_completed_is_terminal(self):
-        with pytest.raises(InvalidRequestError):
-            advance_status(Status.COMPLETED, Status.FAILED)
-
-    def test_no_regression(self):
-        with pytest.raises(InvalidRequestError):
-            advance_status(Status.SCHEDULED, Status.NEW)

@@ -2,7 +2,6 @@ from upgradesim.actions import ActionKind
 from upgradesim.requests import Status, UpgradeRequestModel
 from upgradesim.resource_graph import (
     DependencyKind,
-    ModificationType,
     Presence,
     apply_iteration_outcome,
     build_resource_graph,
@@ -36,25 +35,24 @@ def test_three_host_upgrade_adds_one_level_per_hypervisor():
     for hv in ("hv1", "hv2", "hv3"):
         res = rg.resources[hv]
         assert len(res.levels) == 1
-        assert res.modification_type == ModificationType.UPGRADE
+        assert res.levels[0].kind == "upgrade"
         kinds = [a.kind for a in res.levels[0].actions]
         assert kinds == [ActionKind.DEACTIVATE, ActionKind.INSTALL, ActionKind.ACTIVATE]
     for host in ("h1", "h2", "h3"):
         assert rg.resources[host].levels == []
-        assert rg.resources[host].modification_type == ModificationType.NO_CHANGE
 
 
 def test_empty_model_mirrors_config():
     cluster, catalog, model, rg = build_env(toy_scenario(host_count=2), submit=False)
-    assert all(r.modification_type == ModificationType.NO_CHANGE for r in rg.resources.values())
+    assert all(r.levels == [] for r in rg.resources.values())
     assert set(rg.resources) == {"h1", "h2", "hv1", "hv2"}
 
 
 def test_fig1_analog_structure(scenario_fig1):
     cluster, catalog, model, rg = build_env(scenario_fig1)
     assert len(rg.resources) >= 46
-    assert rg.resources["vsan-1"].modification_type == ModificationType.REMOVE
-    assert rg.resources["ceph-1"].modification_type == ModificationType.ADD
+    assert rg.resources["vsan-1"].levels[0].kind == "remove"
+    assert rg.resources["ceph-1"].levels[0].kind == "add"
     # the new configuration's dependencies exist only in the future
     future_edges = [
         e for e in rg.edges_from("ceph-1") if e.kind == DependencyKind.AGGREGATION
