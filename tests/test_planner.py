@@ -519,6 +519,8 @@ class TestBuildSchedule:
     def test_independent_groups_get_parallel_lanes(self):
         cluster, catalog, model, rg, schedule = run_first_schedule(toy_scenario(host_count=3))
         assert len(schedule.lanes) == 3
+        starts = {lane.steps[0].offset_ms for lane in schedule.lanes}
+        assert starts == {0}
 
     def test_schedule_runs_the_checked_evacuations(self):
         # one VM per pending host and two empty hosts that cannot run VMs: an
@@ -563,12 +565,11 @@ class TestBuildSchedule:
             for i, step in enumerate(lane.steps):
                 if step.action.kind != ActionKind.DEACTIVATE:
                     continue
-                host = cluster.resources[step.action.target].container
+                res = cluster.resources[step.action.target]
+                host = res.resource_id if res.is_host else res.container
                 carried = {vm.vm_id for vm in cluster.vms_on(host)} | arriving.get(host, set())
                 evacuated = {p["vm"] for j, p in prerequisites(lane) if j < i and p["from_host"] == host}
                 assert carried <= evacuated, (lane.lane_id, host, carried - evacuated)
-        starts = {lane.steps[0].offset_ms for lane in schedule.lanes}
-        assert starts == {0}
 
 
 class TestMigrationOffsets:
