@@ -12,7 +12,7 @@ from upgradesim import metrics as metrics_mod
 from upgradesim.actions import seconds_to_ms
 from upgradesim.coordinator import Phase
 from upgradesim.errors import EvacuationInfeasibleError, UpgradeSimError
-from upgradesim.rolling import RollingBaselineConfig, run_rolling_baseline
+from upgradesim.rolling import RollingBaselineConfig, RollingBaselineResult, run_rolling_baseline
 from upgradesim.scenario import (
     build_cluster,
     build_coordinator,
@@ -141,13 +141,19 @@ def _rolling_config(args, batch_size: int) -> RollingBaselineConfig:
     )
 
 
+def _rolling_row(result: RollingBaselineResult) -> metrics_mod.ComparisonRow:
+    return metrics_mod.comparison_row(
+        f"rolling-batch-{result.config.batch_size}",
+        result.average_duration_s,
+        result.penalty_reports(),
+    )
+
+
 def run_rolling_mode(scenario, args, out: Path) -> int:
     result = run_rolling_baseline(
         build_cluster(scenario), _rolling_config(args, args.batch_size), build_timing(scenario)
     )
-    row = metrics_mod.comparison_row(
-        f"rolling-batch-{args.batch_size}", result.average_duration_s, result.penalty_reports()
-    )
+    row = _rolling_row(result)
     summary = {
         "scenario": scenario.name,
         "mode": "rolling",
@@ -171,19 +177,14 @@ def run_compare_mode(scenario, args, out: Path) -> int:
     timing = build_timing(scenario)
     infeasible = []
     for batch_size in args.batch_sizes:
+        config = _rolling_config(args, batch_size)
+        # no name holds the baseline, so its runs are freed once its row is
+        # built, before the next batch size runs
         try:
-            rolling = run_rolling_baseline(cluster, _rolling_config(args, batch_size), timing)
+            rows.append(_rolling_row(run_rolling_baseline(cluster, config, timing)))
         except EvacuationInfeasibleError as exc:
             sys.stderr.write(f"warning: rolling batch size {batch_size} skipped: {exc}\n")
             infeasible.append(batch_size)
-            continue
-        rows.append(
-            metrics_mod.comparison_row(
-                f"rolling-batch-{batch_size}",
-                rolling.average_duration_s,
-                rolling.penalty_reports(),
-            )
-        )
     summary = {"scenario": scenario.name, "mode": "compare", "rows": [r.as_dict() for r in rows]}
     if infeasible:
         summary["infeasible_batch_sizes"] = infeasible

@@ -278,19 +278,6 @@ class ClusterState:
     def tenant_vms(self, tenant_id: str) -> list[VmState]:
         return [self.vms[v] for v in sorted(self.vms) if self.vms[v].tenant_id == tenant_id]
 
-    def clone(self) -> "ClusterState":
-        """A copy that shares no mutable state with this one."""
-        twin = ClusterState()
-        twin.clock = self.clock
-        twin.tenants = {k: _copy(t) for k, t in self.tenants.items()}
-        twin._resources.update(
-            (k, _copy(r, installed=dict(r.installed))) for k, r in self._resources.items()
-        )
-        twin._vms.update((k, _copy(vm)) for k, vm in self._vms.items())
-        twin._contained = {k: list(ids) for k, ids in self._contained.items()}
-        twin._placed = {k: list(ids) for k, ids in self._placed.items()}
-        return twin
-
     def validate(self) -> None:
         """Raise when the configuration has dangling references."""
         for res in self.resources.values():

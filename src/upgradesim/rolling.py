@@ -11,6 +11,10 @@ The cluster is read once per baseline into a ``Fleet``; each ordering then
 moves VMs on its own copy of the fleet's ``Placement``, so the cluster is
 never copied or changed. An evacuated VM goes where ``Placement.destination``
 puts it, with the hosts not yet upgraded as the last resort.
+
+Each ordering writes its events to a log its caller passes in. The baseline
+keeps only each ordering's summary: its log is dropped once the penalty is
+computed from it.
 """
 
 from __future__ import annotations
@@ -44,7 +48,6 @@ class RollingRun:
     duration_ms: int
     evacuation_rounds: int
     vm_migrations: int
-    log: EventLog
     penalties: PenaltyReport
     infeasible: bool = False
 
@@ -120,9 +123,9 @@ def run_single_ordering(
     ordering: tuple[str, ...],
     cfg: RollingBaselineConfig,
     timing: TimingConstants,
+    log: EventLog,
 ) -> RollingRun:
     placement = fleet.placement.copy()
-    log = EventLog()
     log_initial_commitments(log, fleet.cluster)
     clock = fleet.cluster.clock
     not_upgraded = set(placement.hosts)
@@ -187,7 +190,6 @@ def run_single_ordering(
         duration_ms=clock - fleet.cluster.clock,
         evacuation_rounds=rounds,
         vm_migrations=migrations,
-        log=log,
         penalties=penalty_report(violations, tenants),
         infeasible=infeasible,
     )
@@ -201,7 +203,7 @@ def run_rolling_baseline(
     fleet = Fleet.of(base)
     result = RollingBaselineResult(config=cfg)
     for ordering in _orderings(list(fleet.placement.hosts), cfg):
-        result.runs.append(run_single_ordering(fleet, ordering, cfg, timing))
+        result.runs.append(run_single_ordering(fleet, ordering, cfg, timing, EventLog()))
     if all(r.infeasible for r in result.runs) and result.runs:
         raise EvacuationInfeasibleError(
             "no ordering could evacuate the selected batches"

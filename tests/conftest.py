@@ -1,9 +1,13 @@
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
+from upgradesim.cluster import ClusterState
 from upgradesim.engine import EventLog
+from upgradesim.planner import TimingConstants
+from upgradesim.rolling import Fleet, RollingBaselineResult, RollingRun, run_single_ordering
 from upgradesim.scenario import Scenario, load_scenario, parse_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -125,3 +129,31 @@ def ppu_vm_upgrade_json(duration_seconds: float) -> dict:
 def of_kind(log: EventLog, kind: str) -> list[dict]:
     """The records of ``log`` of one kind, in log order."""
     return [r for r in log.records if r["kind"] == kind]
+
+
+def clone(cluster: ClusterState) -> ClusterState:
+    """A copy of ``cluster`` that shares no mutable state with it, rebuilt
+    through ``add_resource`` and ``add_vm``."""
+    twin = ClusterState()
+    twin.clock = cluster.clock
+    twin.tenants = {k: dataclasses.replace(t) for k, t in cluster.tenants.items()}
+    for res in cluster.resources.values():
+        twin.add_resource(dataclasses.replace(res, installed=dict(res.installed)))
+    for vm in cluster.vms.values():
+        twin.add_vm(dataclasses.replace(vm))
+    return twin
+
+
+def rerun_logs(
+    cluster: ClusterState, result: RollingBaselineResult, timing: TimingConstants
+) -> list[tuple[RollingRun, EventLog]]:
+    """Each run of a rolling baseline paired with its ordering's event log,
+    which the baseline does not keep: the ordering runs again on a log of its
+    own, and the fresh run must equal the baseline's."""
+    fleet = Fleet.of(cluster)
+    pairs = []
+    for run in result.runs:
+        log = EventLog()
+        assert run_single_ordering(fleet, run.ordering, result.config, timing, log) == run
+        pairs.append((run, log))
+    return pairs

@@ -20,7 +20,7 @@ from upgradesim.rolling import RollingBaselineConfig, run_rolling_baseline
 from upgradesim.scenario import build_cluster, build_coordinator, build_timing, parse_scenario
 from upgradesim.vm_migration import vm_migration_budget
 
-from conftest import of_kind, scenario_json, toy_scenario
+from conftest import of_kind, rerun_logs, scenario_json, toy_scenario
 from test_planner import make_view
 
 
@@ -205,8 +205,8 @@ def test_criterion_4_per_vm_outage_bounds(scenario_a, scenario_b):
                                       seed=17, sample_count=60),
                 timing,
             )
-            for run in rolling.runs:
-                values = set(metrics_mod.per_vm_outage_totals(run.log).values())
+            for _, log in rerun_logs(cluster, rolling, timing):
+                values = set(metrics_mod.per_vm_outage_totals(log).values())
                 if not values <= {600, 1_200, 1_800}:
                     rolling_ok = False
     check(

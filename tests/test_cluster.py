@@ -15,6 +15,8 @@ from upgradesim.errors import (
     UnknownResourceError,
 )
 
+from conftest import clone
+
 HOSTS = ["h1", "h2", "h3", "h4"]
 ROLES = {"h1": {"compute"}, "h2": {"compute"}, "h3": {"compute", "storage"}, "h4": {"storage"}}
 VMS = [f"v{i}" for i in range(1, 8)]
@@ -240,7 +242,7 @@ class IndexedClusterMachine(RuleBasedStateMachine):
     @rule(data=st.data())
     def mutate_a_clone(self, data):
         before = snapshot(self.cluster)
-        twin = self.cluster.clone()
+        twin = clone(self.cluster)
         assert snapshot(twin) == before
         for vm in list(twin.vms.values()):
             place_or_refuse(twin, vm, data.draw(hosts_or_none))
@@ -280,7 +282,7 @@ class IndexedClusterMachine(RuleBasedStateMachine):
 
     @rule()
     def continue_on_a_clone(self):
-        self.cluster = self.cluster.clone()
+        self.cluster = clone(self.cluster)
 
     @invariant()
     def lookups_match_scan(self):
@@ -321,7 +323,7 @@ def test_duplicate_ids_and_foreign_vms_are_refused():
         cluster.add_vm(VmState("v1", "T2", "g1", None))
     with pytest.raises(UnknownResourceError):
         cluster.place_vm(VmState("v1", "T1", "g1", "h1"), None)  # not the cluster's own v1
-    twin = cluster.clone()
+    twin = clone(cluster)
     with pytest.raises(UnknownResourceError):
         twin.place_vm(cluster.vms["v1"], None)
     assert [v.vm_id for v in twin.vms_on("h1")] == ["v1"]

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,7 +10,7 @@ from upgradesim.planner import TimingConstants
 from upgradesim.rolling import RollingBaselineConfig, run_rolling_baseline
 from upgradesim.scenario import build_cluster, build_timing
 
-from conftest import toy_scenario
+from conftest import rerun_logs, toy_scenario
 
 
 def empty_cluster(hosts=10):
@@ -109,13 +112,14 @@ def test_infeasible_evacuation_flagged():
 
 def test_per_vm_outage_reflects_migration_count(scenario_a):
     cluster = build_cluster(scenario_a)
+    timing = build_timing(scenario_a)
     result = run_rolling_baseline(
         cluster,
         RollingBaselineConfig(batch_size=1, order_policy="sample-n", seed=5, sample_count=30),
-        build_timing(scenario_a),
+        timing,
     )
-    for run in result.runs:
-        totals = per_vm_outage_totals(run.log)
+    for _, log in rerun_logs(cluster, result, timing):
+        totals = per_vm_outage_totals(log)
         assert set(totals.values()) <= {600, 1_200, 1_800}
 
 
@@ -132,3 +136,26 @@ def test_duration_formula_holds(batch, seed):
     batches = -(-6 // batch)
     for run in result.runs:
         assert run.duration_ms == batches * 41_000 + run.evacuation_rounds * 23_000
+
+
+@pytest.mark.parametrize(
+    "fixture, orderings, limit_mb",
+    [("scenario_a", 200, 0.5), ("scenario_burst", 720, 1.0)],
+)
+def test_baseline_keeps_no_event_logs(request, fixture, orderings, limit_mb):
+    # measured with the result alive: the runs keep their summaries and
+    # penalty reports (about 1 kB each), not the records each ordering logged
+    scenario = request.getfixturevalue(fixture)
+    cluster = build_cluster(scenario)
+    timing = build_timing(scenario)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = run_rolling_baseline(cluster, RollingBaselineConfig(batch_size=1), timing)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(result.runs) == orderings
+    assert held < limit_mb * 1e6, f"{held / 1e6:.2f} MB held"

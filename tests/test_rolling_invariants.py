@@ -1,6 +1,6 @@
 """Replay of rolling-baseline event logs against the cluster they started from.
 
-Each run's log is replayed on a clone of its base cluster with the
+Each run's log is replayed on a copy of its base cluster with the
 ``ClusterState`` placement checks, independently of the baseline's own
 compact placement. After every evacuation round: migrations leave the batch
 for hosts outside it, capacity and anti-affinity hold, and no upgraded host
@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from upgradesim.cluster import ClusterState
+from upgradesim.engine import EventLog
 from upgradesim.rolling import (
     Fleet,
     RollingBaselineConfig,
@@ -22,7 +23,7 @@ from upgradesim.rolling import (
 )
 from upgradesim.scenario import build_cluster, build_timing, load_scenario
 
-from conftest import SCENARIO_DIR, of_kind, toy_scenario
+from conftest import SCENARIO_DIR, clone, of_kind, rerun_logs, toy_scenario
 
 
 def _eligible(state: ClusterState, vm_id: str, host_id: str, batch: set[str]) -> bool:
@@ -58,8 +59,8 @@ def _check_round(state, batch, upgraded, moves, stranded) -> None:
             assert not any(_eligible(state, vm, h, batch) for h in hosts), (host_id, vm)
 
 
-def replay(base: ClusterState, run: RollingRun, batch_size: int) -> None:
-    state = base.clone()
+def replay(base: ClusterState, run: RollingRun, log: EventLog, batch_size: int) -> None:
+    state = clone(base)
     batches = [
         set(run.ordering[i : i + batch_size]) for i in range(0, len(run.ordering), batch_size)
     ]
@@ -67,7 +68,7 @@ def replay(base: ClusterState, run: RollingRun, batch_size: int) -> None:
     moves: list[dict] = []
     stranded: dict[str, set[str]] = {}
     done: set[str] = set()
-    for record in run.log.records:
+    for record in log.records:
         kind = record["kind"]
         if kind == "vm-migrated":
             moves.append(record)
@@ -82,8 +83,8 @@ def replay(base: ClusterState, run: RollingRun, batch_size: int) -> None:
                 batches.pop(0)
                 moves, stranded, done = [], {}, set()
     assert not batches and not moves and not stranded
-    assert run.infeasible == any(r["kind"] == "evacuation-infeasible" for r in run.log.records)
-    assert run.vm_migrations == len(of_kind(run.log, "vm-migrated"))
+    assert run.infeasible == any(r["kind"] == "evacuation-infeasible" for r in log.records)
+    assert run.vm_migrations == len(of_kind(log, "vm-migrated"))
 
 
 @st.composite
@@ -117,7 +118,8 @@ def test_toy_cluster_runs_keep_placement_rules(cluster, batch_size, data):
     cfg = RollingBaselineConfig(batch_size=batch_size)
     for _ in range(3):
         ordering = tuple(data.draw(st.permutations(fleet.placement.hosts)))
-        replay(cluster, run_single_ordering(fleet, ordering, cfg, timing), batch_size)
+        log = EventLog()
+        replay(cluster, run_single_ordering(fleet, ordering, cfg, timing, log), log, batch_size)
 
 
 SCENARIOS = sorted(p.name for p in SCENARIO_DIR.glob("*.json"))
@@ -134,17 +136,19 @@ def test_bundled_scenario_runs_keep_placement_rules(name):
     for batch_size in (1, 2, 3, 4):
         cfg = RollingBaselineConfig(batch_size=batch_size)
         for ordering in orderings:
-            replay(cluster, run_single_ordering(fleet, ordering, cfg, timing), batch_size)
+            log = EventLog()
+            replay(cluster, run_single_ordering(fleet, ordering, cfg, timing, log), log, batch_size)
 
 
 def test_baseline_leaves_its_base_cluster_unchanged(scenario_a):
     cluster = build_cluster(scenario_a)
+    timing = build_timing(scenario_a)
     before = {vm.vm_id: vm.host for vm in cluster.vms.values()}
     result = run_rolling_baseline(
         cluster,
         RollingBaselineConfig(batch_size=2, order_policy="sample-n", sample_count=20),
-        build_timing(scenario_a),
+        timing,
     )
     assert {vm.vm_id: vm.host for vm in cluster.vms.values()} == before
-    for run in result.runs:
-        replay(cluster, run, 2)
+    for run, log in rerun_logs(cluster, result, timing):
+        replay(cluster, run, log, 2)
