@@ -188,14 +188,6 @@ class UpgradeOperation:
     actions: tuple[ResolvedAction, ...]
     undo_actions: tuple[ResolvedAction, ...]
 
-    @property
-    def duration_ms(self) -> int:
-        return sum(a.duration_ms for a in self.actions)
-
-    @property
-    def undo_duration_ms(self) -> int:
-        return sum(a.duration_ms for a in self.undo_actions)
-
 
 class UpgradeCatalog:
     """Registry of all infrastructure component descriptions.

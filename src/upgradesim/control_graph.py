@@ -5,7 +5,7 @@ Two contractions form them: container/contained and composition edges merge
 their endpoints (a host upgrades together with its hypervisor and composed
 disks); then resources whose first execution level belongs to a split-mode or
 local parallel-universe unit merge per sub-partition so they are scheduled as
-one. VM vertices never merge; they are planned separately. The elimination
+one. VMs are not vertices; they are planned separately. The elimination
 rules read dependencies from the resource graph's edges, so no edges are kept
 between groups.
 """
@@ -24,22 +24,13 @@ class ResourceGroup:
     group_id: str
     members: tuple[str, ...]
 
-    def merged_levels(self, rg: ResourceGraph) -> list[list[tuple[str, ExecutionLevel]]]:
-        """Level k of the group holds exactly the level-k entries of members."""
-        depth = max((len(rg.resources[m].levels) for m in self.members if m in rg.resources), default=0)
-        out: list[list[tuple[str, ExecutionLevel]]] = []
-        for k in range(depth):
-            slot = [
-                (m, rg.resources[m].levels[k])
-                for m in self.members
-                if m in rg.resources and len(rg.resources[m].levels) > k
-            ]
-            out.append(slot)
-        return out
-
     def first_levels(self, rg: ResourceGraph) -> list[tuple[str, ExecutionLevel]]:
-        merged = self.merged_levels(rg)
-        return merged[0] if merged else []
+        """The first level of each member that has one, in member order."""
+        return [
+            (m, rg.resources[m].levels[0])
+            for m in self.members
+            if m in rg.resources and rg.resources[m].levels
+        ]
 
     def has_remaining_changes(self, rg: ResourceGraph) -> bool:
         return any(rg.resources[m].levels for m in self.members if m in rg.resources)

@@ -33,9 +33,8 @@ from upgradesim.requests import Status, UpgradeRequestModel, within_deadline
 from upgradesim.resource_graph import (
     ResourceGraph,
     apply_iteration_outcome,
-    build_resource_graph,
-    merge_new_requests,
     refresh_structure,
+    sync_graph,
 )
 
 
@@ -104,7 +103,7 @@ class Coordinator:
         self.vm_upgrade = vm_upgrade
         self.engine = Engine(cluster, events, failure_model, timing)
         self.model = UpgradeRequestModel()
-        self.rg: ResourceGraph | None = None
+        self.rg = ResourceGraph()
         self.phase = Phase.RUNNING
         self.iteration = 0
         self.reports: list[UpgradeIterationReport] = []
@@ -143,20 +142,8 @@ class Coordinator:
                 )
         self.engine.pending_admin_undos = []
 
-    def _sync_graph(self) -> None:
-        if self.rg is None:
-            self.rg = build_resource_graph(self.cluster, self.model, self.catalog)
-        else:
-            refresh_structure(self.rg, self.cluster, self.catalog)
-            new_sets = self.model.take_unincorporated()
-            if new_sets:
-                merge_new_requests(self.rg, self.cluster, new_sets, self.catalog)
-                refresh_structure(self.rg, self.cluster, self.catalog)
-
     def _has_pending_work(self) -> bool:
-        if self.model.any_pending():
-            return True
-        return self.rg is not None and self.rg.has_pending_levels()
+        return self.model.any_pending() or self.rg.has_pending_levels()
 
     # -- public operations ------------------------------------------------------------
 
@@ -164,8 +151,7 @@ class Coordinator:
         """Re-evaluate a suspended coordinator against the current cluster."""
         if self.phase != Phase.SUSPENDED:
             return self.phase
-        self._sync_graph()
-        assert self.rg is not None
+        sync_graph(self.rg, self.cluster, self.model, self.catalog)
         view = build_partition_view(self.cluster, self.rg, self.catalog)
         if plan_consolidation(self.cluster, self.rg, view):
             self.phase = Phase.RUNNING
@@ -187,7 +173,6 @@ class Coordinator:
             return change_set.status
         if change_set.undo_requested:
             return change_set.status  # the next report application undoes it
-        assert self.rg is not None
         for change in change_set.changes:
             if change.superseded:
                 continue
@@ -281,7 +266,6 @@ class Coordinator:
     ) -> tuple[Batch, list[Elimination], IterationBudget, Batch]:
         """Initial batch with its eliminations, the SLA budget of its first
         levels, and the final batch that fits the budget."""
-        assert self.rg is not None
         batch, eliminations = initial_batch(
             groups, self.rg, self.cluster, self.catalog, view, self.policies
         )
@@ -325,8 +309,7 @@ class Coordinator:
         self.engine.advance_to(started + self.timing.iteration_overhead_ms)
 
         # Step 1: sync the resource graph, apply the previous iteration's report
-        self._sync_graph()
-        assert self.rg is not None
+        sync_graph(self.rg, self.cluster, self.model, self.catalog)
         effects = apply_iteration_outcome(
             self.rg, self.model, self.cluster, self.catalog, self.cluster.clock
         )
@@ -341,7 +324,6 @@ class Coordinator:
             index=self.iteration, started_at=started, ended_at=self.cluster.clock
         )
         report.failed_undo_units.extend(effects.undo_triggered)
-        refresh_structure(self.rg, self.cluster, self.catalog)
 
         # Step 2: consolidation
         view = build_partition_view(self.cluster, self.rg, self.catalog)
@@ -352,7 +334,6 @@ class Coordinator:
             )
             outcomes = self.engine.execute_schedule(schedule)
             report.consolidation = [o.describe() for o in outcomes]
-            refresh_structure(self.rg, self.cluster, self.catalog)
             view = build_partition_view(self.cluster, self.rg, self.catalog)
 
         # Step 3: coarsen into the control graph, batch selection, execution,
@@ -371,6 +352,7 @@ class Coordinator:
                 final,
                 groups,
                 self.rg,
+                self.cluster,
                 self.timing,
                 self._next_schedule_id("batch"),
                 self.cluster.clock,
@@ -456,7 +438,6 @@ class Coordinator:
                     break
                 remaining -= migrated
                 wave += 1
-            refresh_structure(self.rg, self.cluster, self.catalog)
         self.engine.check_vm_service_continuity()
 
         # finalization and report assembly; an undo issued while schedules

@@ -59,8 +59,6 @@ class PartitionView:
 
     compute: frozenset[str]
     storage: frozenset[str]
-    network: frozenset[str]
-    controller: frozenset[str]
     compute_for_old: frozenset[str]
     compute_for_new: frozenset[str]
     used_compute: frozenset[str]
@@ -195,8 +193,6 @@ def build_partition_view(
     return PartitionView(
         compute=frozenset(cluster.hosts_with_role("compute")),
         storage=frozenset(cluster.hosts_with_role("storage")),
-        network=frozenset(cluster.hosts_with_role("network")),
-        controller=frozenset(cluster.hosts_with_role("controller")),
         compute_for_old=frozenset(old_set),
         compute_for_new=frozenset(new_set),
         used_compute=frozenset(used),
@@ -219,6 +215,12 @@ def upgrade_recovery_window(batch_levels: list[ExecutionLevel]) -> int:
     return max(lvl.duration_ms() + lvl.undo_duration_ms() for lvl in batch_levels)
 
 
+def under_max_tenants(cluster: ClusterState) -> list[TenantSLA]:
+    """Tenants below their maximum VM count, in id order: the ones that can
+    still scale out."""
+    return [t for _, t in sorted(cluster.tenants.items()) if t.committed < t.max_vms]
+
+
 def max_scaling_adjustment(tenants: list[TenantSLA], window_ms: int) -> int:
     """Largest per-tenant VM burst the window admits: max of s * ceil(T/c)."""
     best = 0
@@ -234,6 +236,11 @@ def scaling_host_reservation(adjustment_vms: int, tenant_count: int, per_host: i
     if per_host < 1:
         raise ValueError("per-host VM capacity must be >= 1")
     return adjustment_vms * ceil_div(tenant_count, per_host)
+
+
+def scaling_reservation(adjustment_vms: int, tenant_count: int, per_host: int) -> int:
+    """``scaling_host_reservation``, or none while no host can take a VM."""
+    return scaling_host_reservation(adjustment_vms, tenant_count, per_host) if per_host >= 1 else 0
 
 
 def out_of_service_budget(
@@ -253,8 +260,10 @@ def storage_hosts_sufficient(
     return len(view.storage - view.used_compute) >= old_req.bound + new_req.bound
 
 
-def tolerated_failures(view: PartitionView, policies: Policies) -> int:
-    if not view.used_compute_for_old:
+def tolerated_failures(used_hosts: frozenset[str], policies: Policies) -> int:
+    """Host failures a side reserves for: none while it runs no VM, else the
+    policy's count, 1 by default."""
+    if not used_hosts:
         return 0
     if policies.tolerated_host_failures is not None:
         return policies.tolerated_host_failures
@@ -264,11 +273,8 @@ def tolerated_failures(view: PartitionView, policies: Policies) -> int:
 def scale_capable_tenants_old(cluster: ClusterState, view: PartitionView) -> int:
     """Tenants below their maximum whose VMs are all still on the old side."""
     count = 0
-    for tenant_id in sorted(cluster.tenants):
-        tenant = cluster.tenants[tenant_id]
-        if tenant.committed >= tenant.max_vms:
-            continue
-        vms = [v for v in cluster.tenant_vms(tenant_id) if v.up and v.host]
+    for tenant in under_max_tenants(cluster):
+        vms = [v for v in cluster.tenant_vms(tenant.tenant_id) if v.up and v.host]
         if not view.partitioned:
             count += 1
             continue
@@ -285,16 +291,10 @@ def compute_budget(
     policies: Policies,
 ) -> IterationBudget:
     window = upgrade_recovery_window(batch_levels) if batch_levels else 0
-    tenants = [cluster.tenants[t] for t in sorted(cluster.tenants)]
-    eligible = [t for t in tenants if t.committed < t.max_vms]
-    adjustment = max_scaling_adjustment(eligible, window)
+    adjustment = max_scaling_adjustment(under_max_tenants(cluster), window)
     scale_tenants = scale_capable_tenants_old(cluster, view)
-    reservation = (
-        scaling_host_reservation(adjustment, scale_tenants, view.vms_per_host)
-        if view.vms_per_host >= 1
-        else 0
-    )
-    failover = tolerated_failures(view, policies)
+    reservation = scaling_reservation(adjustment, scale_tenants, view.vms_per_host)
+    failover = tolerated_failures(view.used_compute_for_old, policies)
     budget = out_of_service_budget(view, reservation, failover)
     return IterationBudget(
         window_ms=window,
@@ -659,6 +659,17 @@ def _plan_evacuations(
     return moves
 
 
+def _reactivatable(cluster: ClusterState, rg: ResourceGraph, resource_id: str) -> bool:
+    """A deployed member left deactivated that nothing keeps down."""
+    sim = cluster.resources[resource_id]
+    return (
+        sim.present
+        and not sim.active
+        and not rg.resources[resource_id].is_isolated
+        and not held_deactivated(rg, resource_id)
+    )
+
+
 def initial_batch(
     groups_by_id: dict[str, ResourceGroup],
     rg: ResourceGraph,
@@ -677,17 +688,10 @@ def initial_batch(
     candidates: list[ResourceGroup] = []
     for group_id in sorted(groups_by_id):
         group = groups_by_id[group_id]
-        kinds = {rg.resources[m].kind for m in group.members if m in rg.resources}
-        if kinds <= {"vm"}:
-            continue  # VM batches are chosen separately
         members = [rg.resources[m] for m in group.members if m in rg.resources]
         if all(m.is_failed for m in members):
             continue
-        reactivatable = any(
-            m.present and not m.active and not m.is_isolated
-            and not held_deactivated(rg, m.resource_id)
-            for m in members
-        )
+        reactivatable = any(_reactivatable(cluster, rg, m.resource_id) for m in members)
         if not (group.has_remaining_changes(rg) or reactivatable):
             continue
         blocked = False
@@ -754,20 +758,16 @@ def _first_violated_rule(
         if level.is_undo:
             continue
         unit = rg.upgrade_units.get(level.unit_id)
-        # incompatibilities inside the level's own upgrade unit are the
-        # method's to handle, not a reason to postpone
-        shielded = set(unit.members) if unit is not None else set()
+        # incompatibilities inside the group, or inside the level's own
+        # upgrade unit (the method's to handle), are no reason to postpone
+        shielded = in_group | (unit.members if unit is not None else set())
         for edge in rg.edges_from(rid):
-            if edge.target in in_group or edge.target in shielded:
-                continue
-            if edge.presence == Presence.FUTURE or edge.kind == DependencyKind.MIGRATION:
+            if edge.target in shielded or edge.presence == Presence.FUTURE:
                 continue
             if live(edge.target) and not catalog.compatible(installed(rid), installed(edge.target)):
                 return "sponsor-compatibility"
         for edge in rg.edges_to(rid):
-            if edge.source in in_group or edge.source in shielded:
-                continue
-            if edge.presence == Presence.FUTURE or edge.kind == DependencyKind.MIGRATION:
+            if edge.source in shielded or edge.presence == Presence.FUTURE:
                 continue
             if live(edge.source) and not catalog.compatible(installed(edge.source), installed(rid)):
                 return "sponsor-compatibility"
@@ -842,11 +842,11 @@ def _first_violated_rule(
     # dependency ordering for removals and additions
     for rid, level in first_levels:
         if level.kind == "remove":
+            if cluster.vms_on(rid):
+                return "remove-ordering"
             for edge in rg.edges_to(rid):
                 if edge.presence == Presence.FUTURE or edge.source in in_group:
                     continue
-                if edge.kind == DependencyKind.MIGRATION:
-                    return "remove-ordering"
                 if live(edge.source):
                     return "remove-ordering"
             if _dependent_vms_remain(cluster, rg, rid):
@@ -990,6 +990,7 @@ def build_schedule(
     final: Batch,
     groups_by_id: dict[str, ResourceGroup],
     rg: ResourceGraph,
+    cluster: ClusterState,
     timing: TimingConstants,
     schedule_id: str,
     issued_at: int,
@@ -1041,10 +1042,7 @@ def build_schedule(
         if not group.has_remaining_changes(rg):
             # deactivated stragglers: bring members back into service
             for rid in group.members:
-                res = rg.resources.get(rid)
-                if held_deactivated(rg, rid):
-                    continue
-                if res is not None and res.present and not res.active and not res.is_isolated:
+                if rid in rg.resources and _reactivatable(cluster, rg, rid):
                     steps.append(
                         TimedAction(
                             cursor,

@@ -120,12 +120,18 @@ class UpgradeRequestModel:
         if request.request_id in self.requests:
             raise InvalidRequestError(f"request {request.request_id!r} already submitted")
 
+        added = {
+            c.new_resource_id
+            for cs in request.change_sets
+            for c in cs.changes
+            if c.action == "add" and c.new_resource_id
+        }
         claimed: dict[str, str] = {}
         for change_set in request.change_sets:
             if change_set.set_id in self.sets:
                 raise InvalidRequestError(f"change set {change_set.set_id!r} already exists")
             for change in change_set.changes:
-                self._resolve_targets(change, cluster)
+                self._resolve_targets(change, cluster, added)
                 if not catalog.has(change.product, change.target_version):
                     catalog.find(change.product, change.target_version)  # raises
             change_set.validate()
@@ -162,8 +168,21 @@ class UpgradeRequestModel:
         self.requests[request.request_id] = tuple(cs.set_id for cs in request.change_sets)
         return request.request_id
 
-    def _resolve_targets(self, change: Change, cluster: "ClusterState") -> None:
+    def _resolve_targets(self, change: Change, cluster: "ClusterState", added: set[str]) -> None:
+        """Check explicit targets, or resolve the selector into targets.
+
+        An explicit target of a change other than ``add`` names a resource
+        that is not removed, or one an ``add`` of the same request creates.
+        """
         if change.targets:
+            if change.action == "add":
+                return
+            for rid in change.targets:
+                res = cluster.resources.get(rid)
+                if rid not in added and (res is None or res.removed):
+                    raise InvalidRequestError(
+                        f"change {change.change_id!r}: target {rid!r} names no resource"
+                    )
             return
         if change.action == "add":
             if not change.new_resource_id:

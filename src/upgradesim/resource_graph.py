@@ -1,10 +1,13 @@
-"""The resource graph: vertices with upgrade state, typed dependency edges.
+"""The resource graph: upgrade progress on vertices, typed dependency edges.
 
-The graph is kept alive across iterations. Structure (which vertices and
-edges exist, their presence) is recomputed from the cluster every refresh;
-upgrade progress (execution levels, per-unit attempt counters, isolation
-flags) persists on the vertices and is only mutated by feedback handling,
-report application, and request incorporation.
+The configuration lives only in ``ClusterState``. The graph adds what the
+coordinator learns while upgrading: execution levels, per-set attempt
+counters, isolation flags, upgrade and undo units. It is kept alive across
+iterations. Its structure (one vertex per non-removed cluster resource, the
+edges between them) is re-derived from the cluster on every refresh; the
+progress on the vertices is only mutated by feedback handling, report
+application, and request incorporation. VMs are not vertices: they are
+planned on ``cluster.Placement``.
 """
 
 from __future__ import annotations
@@ -14,13 +17,12 @@ from dataclasses import dataclass, field
 
 from upgradesim.actions import ActionKind, ResolvedAction
 from upgradesim.catalog import UpgradeCatalog
-from upgradesim.cluster import ClusterState, SimResource, host_kind
-from upgradesim.requests import Change, ChangeSet, Status, UpgradeRequestModel
+from upgradesim.cluster import ClusterState, SimResource
+from upgradesim.requests import Change, ChangeSet, Status, UpgradeRequestModel, within_deadline
 
 
 class DependencyKind(str, enum.Enum):
     CONTAINER = "container-contained"
-    MIGRATION = "migration"
     COMPOSITION = "composition"
     AGGREGATION = "aggregation"
     COMMUNICATION = "communication"
@@ -74,24 +76,14 @@ class ExecutionLevel:
 
 @dataclass
 class Resource:
-    """Resource graph vertex."""
+    """Resource graph vertex: the upgrade progress of one cluster resource."""
 
     resource_id: str
-    kind: str
-    roles: frozenset[str] = frozenset()
-    active: bool = True
-    up: bool = True
-    present: bool = True
-    current: tuple[str, str] | None = None
     levels: list[ExecutionLevel] = field(default_factory=list)
     undo_unit_ids: set[str] = field(default_factory=set)
     failed_attempts: dict[str, int] = field(default_factory=dict)
     is_isolated: bool = False
     is_failed: bool = False
-
-    @property
-    def in_service(self) -> bool:
-        return self.present and self.up and self.active and not self.is_isolated
 
     def first_level(self) -> ExecutionLevel | None:
         return self.levels[0] if self.levels else None
@@ -148,51 +140,37 @@ class ResourceGraph:
             self._in.setdefault(edge.target, []).append(edge)
 
 
-# -- building and refreshing ------------------------------------------------------
+# -- syncing and refreshing -------------------------------------------------------
 
 
-def build_resource_graph(
-    cluster: ClusterState, model: UpgradeRequestModel, catalog: UpgradeCatalog
-) -> ResourceGraph:
-    """Create the graph from the current configuration plus every pending set."""
-    rg = ResourceGraph()
+def sync_graph(
+    rg: ResourceGraph,
+    cluster: ClusterState,
+    model: UpgradeRequestModel,
+    catalog: UpgradeCatalog,
+) -> None:
+    """Bring the graph up to date with the cluster and fold in every set
+    submitted since the last sync.
+
+    Each new set's levels append after all existing ones, so actions of a new
+    request never run before pending work on a shared resource.
+    """
     refresh_structure(rg, cluster, catalog)  # unit detection needs edges
-    for change_set in model.take_unincorporated():
+    new_sets = model.take_unincorporated()
+    for change_set in new_sets:
         incorporate_change_set(rg, cluster, change_set, catalog)
-    refresh_structure(rg, cluster, catalog)
-    return rg
+    if new_sets:
+        refresh_structure(rg, cluster, catalog)
 
 
 def refresh_structure(rg: ResourceGraph, cluster: ClusterState, catalog: UpgradeCatalog) -> None:
-    """Re-derive vertices and edges from the cluster, keeping upgrade state."""
-    alive: set[str] = set()
-    for sim in cluster.resources.values():
+    """Add or drop vertices for the cluster's non-removed resources and
+    re-derive the edges; the progress on kept vertices is untouched."""
+    for rid, sim in cluster.resources.items():
         if sim.removed:
-            continue
-        alive.add(sim.resource_id)
-        res = rg.resources.get(sim.resource_id)
-        if res is None:
-            res = Resource(resource_id=sim.resource_id, kind=sim.kind)
-            rg.resources[sim.resource_id] = res
-        res.kind = sim.kind if not sim.is_host else host_kind(sim.roles)
-        res.roles = sim.roles
-        res.active = sim.active
-        res.up = sim.up
-        res.present = sim.present
-        res.current = sim.primary_state()
-    for vm_id in sorted(cluster.vms):
-        vm = cluster.vms[vm_id]
-        alive.add(vm_id)
-        res = rg.resources.get(vm_id)
-        if res is None:
-            res = Resource(resource_id=vm_id, kind="vm")
-            rg.resources[vm_id] = res
-        res.up = vm.up
-        res.present = True
-        res.active = vm.up
-    for gone in set(rg.resources) - alive:
-        del rg.resources[gone]
-
+            rg.resources.pop(rid, None)
+        elif rid not in rg.resources:
+            rg.resources[rid] = Resource(rid)
     rg.edges = _derive_edges(cluster, catalog)
     rg._reindex()
 
@@ -248,10 +226,6 @@ def _derive_edges(cluster: ClusterState, catalog: UpgradeCatalog) -> list[Depend
                 edges.append(
                     Dependency(peer, sim.resource_id, DependencyKind.PEER, Presence.CURRENT_FUTURE)
                 )
-    for vm_id in sorted(cluster.vms):
-        vm = cluster.vms[vm_id]
-        if vm.host is not None:
-            edges.append(Dependency(vm_id, vm.host, DependencyKind.MIGRATION, Presence.CURRENT))
     return edges
 
 
@@ -292,19 +266,8 @@ def incorporate_change_set(
         if change.superseded:
             continue
         for resource_id in change.targets:
-            res = rg.resources.get(resource_id)
-            if res is None:
-                sim = cluster.resources[resource_id]
-                res = Resource(
-                    resource_id=resource_id,
-                    kind=sim.kind if not sim.is_host else host_kind(sim.roles),
-                    roles=sim.roles,
-                    present=sim.present,
-                    active=sim.active,
-                    current=sim.primary_state(),
-                )
-                rg.resources[resource_id] = res
-            state = _projected_state(res)
+            res = rg.resources.setdefault(resource_id, Resource(resource_id))
+            state = _projected_state(cluster.resources[resource_id].primary_state(), res.levels)
             operation = catalog.resolve_operation(
                 change.action,
                 change.product,
@@ -365,10 +328,12 @@ def _create_placeholders(cluster: ClusterState, change_set: ChangeSet) -> None:
         ))
 
 
-def _projected_state(res: Resource) -> tuple[str, str] | None:
-    """The primary (product, version) after all already-pending levels run."""
-    state = res.current
-    for level in res.levels:
+def _projected_state(
+    state: tuple[str, str] | None, levels: list[ExecutionLevel]
+) -> tuple[str, str] | None:
+    """The primary (product, version) once the already-pending ``levels``
+    have run from the current ``state``."""
+    for level in levels:
         state = _state_after_level(state, level)
     return state
 
@@ -544,8 +509,6 @@ def apply_iteration_outcome(
     for change_set in model.pending_sets():
         reason = change_set.undo_reason
         if not change_set.undo_requested:
-            from upgradesim.requests import within_deadline
-
             if not within_deadline(change_set, now):
                 change_set.undo_requested = True
                 reason = change_set.undo_reason = "deadline"
@@ -553,7 +516,7 @@ def apply_iteration_outcome(
                 change_set.undo_requested = True
                 reason = change_set.undo_reason = "threshold"
         if change_set.undo_requested and change_set.status != Status.FAILED:
-            _inject_undo(rg, catalog, change_set)
+            _inject_undo(rg, cluster, catalog, change_set)
             change_set.status = Status.FAILED
             effects.undo_triggered.append(change_set.set_id)
             for rid in change_set.target_resources():
@@ -583,7 +546,9 @@ def _undo_threshold_violated(rg: ResourceGraph, change_set: ChangeSet) -> bool:
     return False
 
 
-def _inject_undo(rg: ResourceGraph, catalog: UpgradeCatalog, change_set: ChangeSet) -> None:
+def _inject_undo(
+    rg: ResourceGraph, cluster: ClusterState, catalog: UpgradeCatalog, change_set: ChangeSet
+) -> None:
     undo_state: dict[str, tuple[str, str] | None] = {}
     for change in change_set.changes:
         if change.superseded:
@@ -607,7 +572,7 @@ def _inject_undo(rg: ResourceGraph, catalog: UpgradeCatalog, change_set: ChangeS
         if res.is_failed:
             continue  # reported to the administrator; nothing more is attempted
         target = undo_state[rid]
-        actions = catalog.resolve_restore(rid, res.current, target)
+        actions = catalog.resolve_restore(rid, cluster.resources[rid].primary_state(), target)
         if actions:
             undo_level = ExecutionLevel(
                 change_id=f"undo:{change_set.set_id}",
@@ -669,18 +634,3 @@ def _level_version(level: ExecutionLevel) -> str:
             return action.params["version"]
     return ""
 
-
-def merge_new_requests(
-    rg: ResourceGraph,
-    cluster: ClusterState,
-    new_sets: list[ChangeSet],
-    catalog: UpgradeCatalog,
-) -> None:
-    """Fold freshly submitted sets into the live graph.
-
-    Each set is first laid out on its own (placeholders, units, levels) and
-    the resulting levels append after all existing ones, so actions of a new
-    request never run before pending work on a shared resource.
-    """
-    for change_set in new_sets:
-        incorporate_change_set(rg, cluster, change_set, catalog)

@@ -21,7 +21,9 @@ from upgradesim.planner import (
     ceil_div,
     max_scaling_adjustment,
     migration_action,
-    scaling_host_reservation,
+    scaling_reservation,
+    tolerated_failures,
+    under_max_tenants,
 )
 
 
@@ -81,13 +83,10 @@ def vm_migration_budget(
 
 def tenants_scaling_new(cluster: ClusterState, view: PartitionView, crossing: set[str] = frozenset()) -> int:
     count = 0
-    for tenant_id in sorted(cluster.tenants):
-        tenant = cluster.tenants[tenant_id]
-        if tenant.committed >= tenant.max_vms:
-            continue
-        vms = [v for v in cluster.tenant_vms(tenant_id) if v.up and v.host]
+    for tenant in under_max_tenants(cluster):
+        vms = [v for v in cluster.tenant_vms(tenant.tenant_id) if v.up and v.host]
         has_new = any(v.host in view.compute_for_new for v in vms)
-        if has_new or tenant_id in crossing:
+        if has_new or tenant.tenant_id in crossing:
             count += 1
     return count
 
@@ -108,24 +107,10 @@ def compute_migration_budget(
     groups = {(v.tenant_id, v.group_id) for v in old}
     per_vm = timing.migration_ms + per_vm_extra_ms
     window = per_vm * ceil_div(len(old), max(1, len(groups))) if old else 0
-    eligible = [
-        cluster.tenants[t]
-        for t in sorted(cluster.tenants)
-        if cluster.tenants[t].committed < cluster.tenants[t].max_vms
-    ]
-    adjustment = max_scaling_adjustment(eligible, window)
+    adjustment = max_scaling_adjustment(under_max_tenants(cluster), window)
     scale_tenants = tenants_scaling_new(cluster, view)
-    reservation = (
-        scaling_host_reservation(adjustment, scale_tenants, view.vms_per_host_new)
-        if view.vms_per_host_new >= 1
-        else 0
-    )
-    if not view.used_compute_for_new:
-        failover = 0
-    elif policies.tolerated_host_failures is not None:
-        failover = policies.tolerated_host_failures
-    else:
-        failover = 1
+    reservation = scaling_reservation(adjustment, scale_tenants, view.vms_per_host_new)
+    failover = tolerated_failures(view.used_compute_for_new, policies)
     return MigrationBudget(
         migratable_vms=vm_migration_budget(view, reservation, failover),
         scaling_reservation_new=reservation,
@@ -180,23 +165,14 @@ def reevaluate_new_reservation(
     reservation of tenants crossing over. Lowest-ranked groups drop first."""
     vms = list(sub.vms)
     groups = list(sub.groups)
+    adjustment = max_scaling_adjustment(under_max_tenants(cluster), budget.window_ms)
+    free_slots = sum(max(0, cluster.free_slots(h)) for h in view.compute_for_new)
     while vms:
         crossing = {cluster.vms[v].tenant_id for v in vms}
         scale_tenants = tenants_scaling_new(cluster, view, crossing)
-        eligible = [
-            cluster.tenants[t]
-            for t in sorted(cluster.tenants)
-            if cluster.tenants[t].committed < cluster.tenants[t].max_vms
-        ]
-        adjustment = max_scaling_adjustment(eligible, budget.window_ms)
-        reservation = (
-            scaling_host_reservation(adjustment, scale_tenants, view.vms_per_host_new)
-            if view.vms_per_host_new >= 1
-            else 0
-        )
-        usable_slots = sum(max(0, cluster.free_slots(h)) for h in view.compute_for_new)
-        usable_slots -= (reservation + budget.failover_reservation_new) * view.vms_per_host_new
-        if len(vms) <= usable_slots:
+        reservation = scaling_reservation(adjustment, scale_tenants, view.vms_per_host_new)
+        reserved = (reservation + budget.failover_reservation_new) * view.vms_per_host_new
+        if len(vms) <= free_slots - reserved:
             break
         vms.pop()
         groups.pop()

@@ -169,8 +169,8 @@ class TestOperationResolution:
         op = catalog.resolve_operation("upgrade", "kvm", "2", "hv1", ("esxi", "1"))
         kinds = [a.kind for a in op.actions]
         assert kinds == [ActionKind.DEACTIVATE, ActionKind.INSTALL, ActionKind.ACTIVATE]
-        assert op.duration_ms == 41_000
-        assert op.undo_duration_ms == 41_000
+        assert sum(a.duration_ms for a in op.actions) == 41_000
+        assert sum(a.duration_ms for a in op.undo_actions) == 41_000
 
     def test_remove_has_symmetric_undo(self):
         catalog = UpgradeCatalog()

@@ -83,13 +83,13 @@ def test_group_ids_stable_across_updates(scenario_fig1):
     assert set(before) == set(after)
 
 
-def test_merged_levels_shrink_with_member_progress():
+def test_first_levels_shrink_with_member_progress():
     cluster, catalog, model, rg = build_env(toy_scenario(host_count=1))
     groups = coarsen(rg)
     group = groups[group_of(groups, "hv1")]
-    assert len(group.merged_levels(rg)) == 1
+    assert group.first_levels(rg) == [("hv1", rg.resources["hv1"].levels[0])]
     rg.resources["hv1"].levels.pop(0)
-    assert group.merged_levels(rg) == []
+    assert group.first_levels(rg) == []
 
 
 def test_removed_vertex_disappears(scenario_ppu):

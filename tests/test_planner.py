@@ -50,8 +50,6 @@ def make_view(
     return PartitionView(
         compute=compute,
         storage=frozenset(storage),
-        network=frozenset(),
-        controller=frozenset(),
         compute_for_old=frozenset(for_old) if for_old is not None else compute,
         compute_for_new=frozenset(for_new) if for_new is not None else compute,
         used_compute=frozenset(used),
@@ -474,6 +472,34 @@ def test_er1_dependent_waits_for_sponsor_from_other_set():
     assert "g:app" in batch2.groups
 
 
+def test_host_still_carrying_a_vm_is_not_removed():
+    tenants = [{"id": "T1", "min_vms": 1, "max_vms": 1, "scaling_adjustment": 1,
+                "cooldown_seconds": 600, "vms": [{"id": "T1.1", "host": "h1"}]}]
+    cluster, catalog, model, rg = build_env(
+        toy_scenario(host_count=2, tenants=tenants), submit=False
+    )
+    from upgradesim.resource_graph import ExecutionLevel
+
+    for host in ("h1", "h2"):
+        remove = ResolvedAction(
+            action_id=f"remove:{host}", kind=ActionKind.REMOVE, target=host, duration_ms=0,
+            params={"product": "host", "version": "1"},
+        )
+        rg.resources[host].levels.append(
+            ExecutionLevel("ch-rm", "cs-rm", f"unit:rm:{host}", "remove", (remove,), ())
+        )
+    cg = coarsen(rg)
+    view = build_partition_view(cluster, rg, catalog)
+    batch, eliminations = initial_batch(cg, rg, cluster, catalog, view, Policies())
+    assert [(e.group_id, e.rule) for e in eliminations] == [("g:h1", "remove-ordering")]
+    assert batch.groups == ("g:h2",)
+    # the rule follows the VM: once it moves to h2, h1 may go and h2 waits
+    cluster.place_vm(cluster.vms["T1.1"], "h2")
+    batch, eliminations = initial_batch(cg, rg, cluster, catalog, view, Policies())
+    assert [(e.group_id, e.rule) for e in eliminations] == [("g:h2", "remove-ordering")]
+    assert batch.groups == ("g:h1",)
+
+
 # -- schedules and feedback ---------------------------------------------------------------
 
 
@@ -484,7 +510,7 @@ def run_first_schedule(scenario):
     batch, _ = initial_batch(cg, rg, cluster, catalog, view, Policies())
     budget_stub = type("B", (), {"out_of_service_budget": 10})
     final = select_final_batch(batch, cg, rg, cluster, view, budget_stub, Policies())
-    schedule = build_schedule(final, cg, rg, TimingConstants(), "s1", 0)
+    schedule = build_schedule(final, cg, rg, cluster, TimingConstants(), "s1", 0)
     return cluster, catalog, model, rg, schedule
 
 
@@ -543,7 +569,7 @@ class TestBuildSchedule:
         budget = compute_budget(cluster, view, levels, policies)
         assert budget.out_of_service_budget == 2
         final = select_final_batch(batch, cg, rg, cluster, view, budget, policies)
-        schedule = build_schedule(final, cg, rg, TimingConstants(), "s1", 0)
+        schedule = build_schedule(final, cg, rg, cluster, TimingConstants(), "s1", 0)
 
         def prerequisites(lane):
             return [

@@ -147,3 +147,24 @@ class TestDeadline:
         cs = self._set()
         cs.submitted_at = 0
         assert not within_deadline(cs, 601_000)
+
+
+def test_removed_target_rejected():
+    # unknown ids and VM ids are pinned end to end in test_scenario_cli
+    cluster, catalog = _env()
+    cluster.resources["hv3"].removed = True
+    request = _request([ChangeSet("cs-1", [_change("c1", ("hv1", "hv3"))], 600_000, 2)])
+    with pytest.raises(InvalidRequestError, match="change 'c1': target 'hv3' names no resource"):
+        UpgradeRequestModel().submit(request, cluster, catalog)
+
+
+def test_target_added_by_the_same_request_accepted():
+    cluster, catalog = _env()
+    add = Change(
+        change_id="c-add", action="add", product="qemu", target_version="2",
+        new_resource_id="hv9",
+    )
+    upgrade = _change("c-up", ("hv9",))
+    model = UpgradeRequestModel()
+    model.submit(_request([ChangeSet("cs-1", [add, upgrade], 600_000, 2)]), cluster, catalog)
+    assert upgrade.targets == ("hv9",)

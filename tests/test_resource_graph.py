@@ -3,10 +3,10 @@ from upgradesim.requests import Status, UpgradeRequestModel
 from upgradesim.resource_graph import (
     DependencyKind,
     Presence,
+    ResourceGraph,
     apply_iteration_outcome,
-    build_resource_graph,
-    merge_new_requests,
     refresh_structure,
+    sync_graph,
 )
 from upgradesim.scenario import (
     build_catalog,
@@ -26,7 +26,8 @@ def build_env(scenario, submit=True):
         for event in build_events(scenario):
             if event.kind == "upgrade-request":
                 model.submit(parse_upgrade_request(event.payload["request"]), cluster, catalog)
-    rg = build_resource_graph(cluster, model, catalog)
+    rg = ResourceGraph()
+    sync_graph(rg, cluster, model, catalog)
     return cluster, catalog, model, rg
 
 
@@ -50,7 +51,9 @@ def test_empty_model_mirrors_config():
 
 def test_fig1_analog_structure(scenario_fig1):
     cluster, catalog, model, rg = build_env(scenario_fig1)
-    assert len(rg.resources) >= 46
+    # one vertex per non-removed cluster resource; VMs are not vertices
+    assert set(rg.resources) == {rid for rid, r in cluster.resources.items() if not r.removed}
+    assert cluster.vms and not set(rg.resources) & set(cluster.vms)
     assert rg.resources["vsan-1"].levels[0].kind == "remove"
     assert rg.resources["ceph-1"].levels[0].kind == "add"
     # the new configuration's dependencies exist only in the future
@@ -99,7 +102,6 @@ class TestIterationOutcome:
             rg.resources[hv].is_isolated = True
         # hv3 already upgraded: its undo must restore the source version
         cluster.resources["hv3"].installed = {"qemu": "2"}
-        rg.resources["hv3"].current = ("qemu", "2")
         rg.resources["hv3"].levels = []
         effects = apply_iteration_outcome(rg, model, cluster, catalog, now=0)
         assert effects.undo_triggered == ["cs-1"]
@@ -140,7 +142,6 @@ class TestIterationOutcome:
         scenario = toy_scenario(host_count=2, max_completion_seconds=600)
         cluster, catalog, model, rg = build_env(scenario)
         cluster.resources["hv1"].installed = {"qemu": "2"}
-        rg.resources["hv1"].current = ("qemu", "2")
         rg.resources["hv1"].levels = []
         apply_iteration_outcome(rg, model, cluster, catalog, now=600_001)
         assert model.sets["cs-1"].status == Status.FAILED
@@ -182,7 +183,7 @@ class TestMergeNewRequests:
             ],
         }
         model.submit(parse_upgrade_request(second), cluster, catalog)
-        merge_new_requests(rg, cluster, model.take_unincorporated(), catalog)
+        sync_graph(rg, cluster, model, catalog)
         levels = rg.resources["hv1"].levels
         assert [lvl.set_id for lvl in levels] == ["cs-1", "cs-2"]
         assert levels[0].unit_id != levels[1].unit_id
@@ -219,9 +220,10 @@ class TestMergeNewRequests:
             ],
         }
         model2.submit(parse_upgrade_request(first), cluster2, catalog2)
-        rg2 = build_resource_graph(cluster2, model2, catalog2)
+        rg2 = ResourceGraph()
+        sync_graph(rg2, cluster2, model2, catalog2)
         model2.submit(parse_upgrade_request(second), cluster2, catalog2)
-        merge_new_requests(rg2, cluster2, model2.take_unincorporated(), catalog2)
+        sync_graph(rg2, cluster2, model2, catalog2)
         assert len(rg2.resources["hv1"].levels) == 1
         assert len(rg2.resources["hv2"].levels) == 1
         assert rg2.resources["hv2"].levels[0].set_id == "cs-2"
@@ -238,7 +240,7 @@ class TestMergeNewRequests:
             ],
         }
         model.submit(parse_upgrade_request(second), cluster, catalog)
-        merge_new_requests(rg, cluster, model.take_unincorporated(), catalog)
+        sync_graph(rg, cluster, model, catalog)
         # the appended level assumed the first request would land on "2"
         later = rg.resources["hv1"].levels[1]
         install = next(a for a in later.actions if a.kind == ActionKind.INSTALL)
@@ -246,7 +248,6 @@ class TestMergeNewRequests:
 
         # hv1 already upgraded by cs-1, hv2 untouched
         cluster.resources["hv1"].installed = {"qemu": "2"}
-        rg.resources["hv1"].current = ("qemu", "2")
         rg.resources["hv1"].levels = rg.resources["hv1"].levels[1:]
         model.record_admin_undo("cs-1")
         apply_iteration_outcome(rg, model, cluster, catalog, now=0)
@@ -265,9 +266,6 @@ class TestMergeNewRequests:
 
 def test_refresh_tracks_cluster_changes():
     cluster, catalog, model, rg = build_env(toy_scenario(host_count=2), submit=False)
-    cluster.resources["h1"].up = False
-    refresh_structure(rg, cluster, catalog)
-    assert not rg.resources["h1"].up
     cluster.resources["hv2"].removed = True
     refresh_structure(rg, cluster, catalog)
     assert "hv2" not in rg.resources

@@ -289,3 +289,20 @@ def test_vm_upgrade_completes_the_migration(tmp_path):
     out = tmp_path / "out"
     assert main(["--scenario", str(scenario), "--out", str(out)]) == EXIT_OK
     assert json.loads((out / "metrics.json").read_text())["duration_s"] == 387.38
+
+
+@pytest.mark.parametrize("target", ["nope", "T1.1"])
+def test_change_target_naming_no_resource_exits_2(target, tmp_path, capsys):
+    # a VM is not a resource a change can target
+    tenants = [{"id": "T1", "min_vms": 1, "max_vms": 2, "scaling_adjustment": 1,
+                "cooldown_seconds": 600, "vms": [{"id": "T1.1", "host": "h1"}]}]
+    data = scenario_json(toy_scenario(host_count=2, tenants=tenants))
+    change = data["events"][0]["request"]["change_sets"][0]["changes"][0]
+    del change["selector"]
+    change["targets"] = ["hv1", target]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    code = main(["--scenario", str(path), "--out", str(tmp_path / "out")])
+    assert code == EXIT_CHANGE_SET_FAILED
+    err = capsys.readouterr().err
+    assert err == f"error: change 'ch-qemu': target {target!r} names no resource\n"
