@@ -87,6 +87,11 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse keeps no state between parse_args calls: each returns a new
+# namespace, and string defaults are converted afresh
+_PARSER = make_parser()
+
+
 def _write(path: Path, content: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(content)
@@ -194,9 +199,8 @@ def run_compare_mode(scenario, args, out: Path) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = make_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     if args.mode == "rolling" and args.batch_size is None:

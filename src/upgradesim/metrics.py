@@ -4,21 +4,21 @@ from __future__ import annotations
 
 import csv
 import io
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from upgradesim.engine import EventLog
 
 
-@dataclass(frozen=True, slots=True)
-class SlaViolation:
+class SlaViolation(NamedTuple):
+    """A maximal interval in which a tenant had fewer live VMs than
+    committed; ``impacted_vms`` is the peak number down at once."""
+
     tenant: str
     start: int
     end: int
     impacted_vms: int
-
-    def __post_init__(self) -> None:
-        if self.impacted_vms < 1:
-            raise ValueError("a violation impacts at least one VM")
 
     @property
     def duration_ms(self) -> int:
@@ -58,8 +58,9 @@ class PenaltyReport:
 
 
 # Each function below that takes a log reads ``log.records`` in one scan and
-# groups what it needs on the way; the coordinator and every rolling ordering
-# share them.
+# groups what it needs on the way. A rolling ordering writes no log: it
+# collects its outage spans itself and scores them with ``tenant_violations``
+# and ``penalty_report``, as ``compute_sla_violations`` does a log's.
 
 
 def per_vm_outage_totals(log: EventLog) -> dict[str, int]:
@@ -154,6 +155,18 @@ def _committed_at(timeline: list[tuple[int, int]], at: int) -> int:
     return count
 
 
+def tenant_violations(
+    spans: dict[str, list[tuple[int, int]]], tenants: list[str]
+) -> Iterator[tuple[str, int, int, int]]:
+    """(tenant, start, end, peak VMs down) of each maximal interval in which
+    one of a tenant's outage spans is open, tenant by tenant in ``tenants``
+    order. Every span must have start < end."""
+    for tenant in tenants:
+        if spans[tenant]:
+            for start, end, depth in _merge_intervals(spans[tenant]):
+                yield tenant, start, end, depth
+
+
 def compute_sla_violations(log: EventLog, tenants: list[str]) -> list[SlaViolation]:
     """Maximal intervals where a tenant's live VM count sits below the
     committed count; impact is the peak number of simultaneously down VMs."""
@@ -163,26 +176,23 @@ def compute_sla_violations(log: EventLog, tenants: list[str]) -> list[SlaViolati
             mine = spans.get(r["tenant"])
             if mine is not None:
                 mine.append((r["start"], r["end"]))
-    violations = [
-        SlaViolation(tenant, start, end, depth)
-        for tenant in tenants
-        if spans[tenant]
-        for start, end, depth in _merge_intervals(spans[tenant])
-    ]
+    violations = [SlaViolation(*v) for v in tenant_violations(spans, tenants)]
     violations.sort(key=lambda v: (v.start, v.tenant))
     return violations
 
 
-def penalty_report(violations: list[SlaViolation], tenants: list[str]) -> PenaltyReport:
+def penalty_report(
+    violations: Iterable[tuple[str, int, int, int]], tenants: list[str]
+) -> PenaltyReport:
     """Per-tenant count, impact range, total and squared-impact-weighted
-    duration of the violations; tenants not listed are left out."""
+    duration of the violations, each a (tenant, start, end, impacted VMs)
+    ``SlaViolation`` or plain tuple; tenants not listed are left out."""
     per_tenant = {t: TenantPenalty(t, 0, 0, 0, 0, 0) for t in tenants}
-    for v in violations:
-        p = per_tenant.get(v.tenant)
+    for tenant, start, end, impacted in violations:
+        p = per_tenant.get(tenant)
         if p is None:
             continue
-        impacted = v.impacted_vms
-        duration = v.end - v.start
+        duration = end - start
         if p.violation_count == 0 or impacted < p.min_impacted:
             p.min_impacted = impacted
         if impacted > p.max_impacted:

@@ -173,9 +173,16 @@ class UpgradeRequestModel:
 
         An explicit target of a change other than ``add`` names a resource
         that is not removed, or one an ``add`` of the same request creates.
+        An ``add`` creates one resource: ``new_resource_id``, or else its
+        only target.
         """
         if change.targets:
             if change.action == "add":
+                if len(change.targets) > 1 and not change.new_resource_id:
+                    raise InvalidRequestError(
+                        f"change {change.change_id!r}: add with several targets "
+                        "requires new_resource_id"
+                    )
                 return
             for rid in change.targets:
                 res = cluster.resources.get(rid)

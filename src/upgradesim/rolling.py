@@ -12,30 +12,35 @@ moves VMs on its own copy of the fleet's ``Placement``, so the cluster is
 never copied or changed. An evacuated VM goes where ``Placement.destination``
 puts it, with the hosts not yet upgraded as the last resort.
 
-Each ordering writes its events to a log its caller passes in. The baseline
-keeps only each ordering's summary: its log is dropped once the penalty is
-computed from it.
+``ordering_rounds`` yields an ordering's batches one by one, with the VMs
+each moves and strands. ``run_single_ordering`` folds them into the
+ordering's summary: each moved VM is down for the last
+``migration_outage_ms`` of its round, and those spans are scored per tenant
+as the SLA violations of an event log are. No event log is written; a test
+that needs an ordering's events renders them from its rounds.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from upgradesim.cluster import ClusterState, Placement
-from upgradesim.engine import EventLog, log_initial_commitments
 from upgradesim.errors import EvacuationInfeasibleError, InvalidRequestError
-from upgradesim.metrics import PenaltyReport, compute_sla_violations, penalty_report
+from upgradesim.metrics import PenaltyReport, penalty_report, tenant_violations
 from upgradesim.planner import TimingConstants
 
-ENUMERATE_LIMIT = 8
+ENUMERATE_LIMIT = 720  # 6! orderings
 
 
 @dataclass(frozen=True)
 class RollingBaselineConfig:
     batch_size: int
-    # auto enumerates all orderings up to ENUMERATE_LIMIT hosts, then samples
+    # auto enumerates while there are at most ENUMERATE_LIMIT orderings, then samples
     order_policy: str = "auto"  # auto | enumerate-all | sample-n | fixed-order
     seed: int = 0
     sample_count: int = 200
@@ -85,7 +90,8 @@ class RollingBaselineResult:
 def _orderings(hosts: list[str], cfg: RollingBaselineConfig) -> list[tuple[str, ...]]:
     policy = cfg.order_policy
     if policy == "auto":
-        policy = "enumerate-all" if len(hosts) <= ENUMERATE_LIMIT else "sample-n"
+        enumerable = math.factorial(len(hosts)) <= ENUMERATE_LIMIT
+        policy = "enumerate-all" if enumerable else "sample-n"
     if policy == "fixed-order":
         return [tuple(hosts)]
     if policy == "enumerate-all":
@@ -107,6 +113,7 @@ class Fleet:
     cluster: ClusterState
     placement: Placement  # each ordering moves VMs on a copy
     upgrade_resource: dict[str, str]  # host -> its hypervisor, or itself
+    tenants: list[str]  # sorted
 
     @classmethod
     def of(cls, cluster: ClusterState) -> "Fleet":
@@ -115,29 +122,42 @@ class Fleet:
         for h in placement.hosts:
             hv = cluster.hypervisor_of(h)
             resource[h] = hv.resource_id if hv is not None else h
-        return cls(cluster=cluster, placement=placement, upgrade_resource=resource)
+        return cls(
+            cluster=cluster,
+            placement=placement,
+            upgrade_resource=resource,
+            tenants=sorted(cluster.tenants),
+        )
 
 
-def run_single_ordering(
+class EvacuationRound(NamedTuple):
+    """One batch of an ordering. Its VMs migrate from ``start`` to ``end``
+    (the same instant when none moves); its hosts then upgrade from ``end``
+    to ``end + upgrade_ms``."""
+
+    batch: tuple[str, ...]
+    start: int
+    end: int
+    moves: list[tuple[str, str, str]]  # (vm, from host, to host)
+    stranded: list[tuple[str, str]]  # (host, vm) of each VM no host could take
+
+
+def ordering_rounds(
     fleet: Fleet,
     ordering: tuple[str, ...],
     cfg: RollingBaselineConfig,
     timing: TimingConstants,
-    log: EventLog,
-) -> RollingRun:
+) -> Iterator[EvacuationRound]:
+    """The rounds of ``ordering``, evacuated on its own copy of the fleet's
+    placement: each VM of a batch moves to ``Placement.destination`` of the
+    hosts outside the batch, seen by the next VM's check, or is stranded."""
     placement = fleet.placement.copy()
-    log_initial_commitments(log, fleet.cluster)
-    clock = fleet.cluster.clock
     not_upgraded = set(placement.hosts)
-    rounds = 0
-    migrations = 0
-    infeasible = False
-
-    batches = [
-        list(ordering[i : i + cfg.batch_size]) for i in range(0, len(ordering), cfg.batch_size)
-    ]
-    for batch in batches:
+    clock = fleet.cluster.clock
+    for i in range(0, len(ordering), cfg.batch_size):
+        batch = ordering[i : i + cfg.batch_size]
         moves: list[tuple[str, str, str]] = []
+        stranded: list[tuple[str, str]] = []
         eligible = None
         for host_id in batch:
             for vm_id in list(placement.vms[host_id]):
@@ -145,52 +165,51 @@ def run_single_ordering(
                     eligible = [h for h in placement.hosts if h not in batch]
                 dest = placement.destination(vm_id, eligible, not_upgraded)
                 if dest is None:
-                    infeasible = True
-                    log.emit(clock, "evacuation-infeasible", host=host_id, vm=vm_id)
+                    stranded.append((host_id, vm_id))
                     continue
                 moves.append((vm_id, host_id, dest))
-                placement.move(vm_id, host_id, dest)  # seen by the next placement check
-        if moves:
+                placement.move(vm_id, host_id, dest)
+        end = clock + timing.migration_ms if moves else clock
+        yield EvacuationRound(batch, clock, end, moves, stranded)
+        not_upgraded.difference_update(batch)
+        clock = end + cfg.upgrade_ms
+
+
+def run_single_ordering(
+    fleet: Fleet,
+    ordering: tuple[str, ...],
+    cfg: RollingBaselineConfig,
+    timing: TimingConstants,
+) -> RollingRun:
+    """One ordering's summary, folded from its rounds. Every VM moved in a
+    round is down over [end - migration_outage_ms, end]; spans of one
+    tenant may overlap within and across rounds, and are merged as
+    ``compute_sla_violations`` merges a log's."""
+    tenants = fleet.tenants
+    spans: dict[str, list[tuple[int, int]]] = {t: [] for t in tenants}
+    group_of = fleet.placement.group_of
+    outage_ms = timing.migration_outage_ms
+    clock = fleet.cluster.clock
+    rounds = 0
+    migrations = 0
+    infeasible = False
+    for evacuation in ordering_rounds(fleet, ordering, cfg, timing):
+        if evacuation.stranded:
+            infeasible = True
+        if evacuation.moves:
             rounds += 1
-            end = clock + timing.migration_ms
-            for vm_id, source, dest in moves:
-                migrations += 1
-                tenant, group = placement.group_of[vm_id]
-                log.emit(
-                    end,
-                    "vm-migrated",
-                    vm=vm_id,
-                    tenant=tenant,
-                    group=group,
-                    from_host=source,
-                    to_host=dest,
-                    started_at=clock,
-                )
-                log.emit(
-                    end,
-                    "vm-outage",
-                    vm=vm_id,
-                    tenant=tenant,
-                    group=group,
-                    start=end - timing.migration_outage_ms,
-                    end=end,
-                    cause="migration",
-                )
-            clock = end
-        end = clock + cfg.upgrade_ms
-        for host_id in batch:
-            not_upgraded.discard(host_id)
-            resource = fleet.upgrade_resource[host_id]
-            log.emit(end, "host-upgraded", host=host_id, resource=resource, started_at=clock)
-        clock = end
-    tenants = sorted(fleet.cluster.tenants)
-    violations = compute_sla_violations(log, tenants)
+            migrations += len(evacuation.moves)
+            if outage_ms > 0:  # an empty span is no outage
+                span = (evacuation.end - outage_ms, evacuation.end)
+                for vm_id, _, _ in evacuation.moves:
+                    spans[group_of[vm_id][0]].append(span)
+        clock = evacuation.end + cfg.upgrade_ms
     return RollingRun(
         ordering=ordering,
         duration_ms=clock - fleet.cluster.clock,
         evacuation_rounds=rounds,
         vm_migrations=migrations,
-        penalties=penalty_report(violations, tenants),
+        penalties=penalty_report(tenant_violations(spans, tenants), tenants),
         infeasible=infeasible,
     )
 
@@ -203,7 +222,7 @@ def run_rolling_baseline(
     fleet = Fleet.of(base)
     result = RollingBaselineResult(config=cfg)
     for ordering in _orderings(list(fleet.placement.hosts), cfg):
-        result.runs.append(run_single_ordering(fleet, ordering, cfg, timing, EventLog()))
+        result.runs.append(run_single_ordering(fleet, ordering, cfg, timing))
     if all(r.infeasible for r in result.runs) and result.runs:
         raise EvacuationInfeasibleError(
             "no ordering could evacuate the selected batches"

@@ -5,9 +5,16 @@ from pathlib import Path
 import pytest
 
 from upgradesim.cluster import ClusterState
-from upgradesim.engine import EventLog
+from upgradesim.engine import EventLog, log_initial_commitments
 from upgradesim.planner import TimingConstants
-from upgradesim.rolling import Fleet, RollingBaselineResult, RollingRun, run_single_ordering
+from upgradesim.rolling import (
+    Fleet,
+    RollingBaselineConfig,
+    RollingBaselineResult,
+    RollingRun,
+    ordering_rounds,
+    run_single_ordering,
+)
 from upgradesim.scenario import Scenario, load_scenario, parse_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -144,16 +151,41 @@ def clone(cluster: ClusterState) -> ClusterState:
     return twin
 
 
+def ordering_log(
+    fleet: Fleet, ordering: tuple[str, ...], cfg: RollingBaselineConfig, timing: TimingConstants
+) -> tuple[RollingRun, EventLog]:
+    """One rolling ordering's run, and its rounds rendered as the records an
+    engine run would log: the tenants' initial commitments; per round, each
+    stranded VM at its start, each move's ``vm-migrated`` and ``vm-outage``
+    at its end, and each host's ``host-upgraded`` once the batch upgrade ends."""
+    run = run_single_ordering(fleet, ordering, cfg, timing)
+    log = EventLog()
+    log_initial_commitments(log, fleet.cluster)
+    for batch, start, end, moves, stranded in ordering_rounds(fleet, ordering, cfg, timing):
+        for host, vm in stranded:
+            log.emit(start, "evacuation-infeasible", host=host, vm=vm)
+        for vm, source, dest in moves:
+            tenant, group = fleet.placement.group_of[vm]
+            log.emit(end, "vm-migrated", vm=vm, tenant=tenant, group=group,
+                     from_host=source, to_host=dest, started_at=start)
+            log.emit(end, "vm-outage", vm=vm, tenant=tenant, group=group,
+                     start=end - timing.migration_outage_ms, end=end, cause="migration")
+        for host in batch:
+            log.emit(end + cfg.upgrade_ms, "host-upgraded", host=host,
+                     resource=fleet.upgrade_resource[host], started_at=end)
+    return run, log
+
+
 def rerun_logs(
     cluster: ClusterState, result: RollingBaselineResult, timing: TimingConstants
 ) -> list[tuple[RollingRun, EventLog]]:
     """Each run of a rolling baseline paired with its ordering's event log,
-    which the baseline does not keep: the ordering runs again on a log of its
-    own, and the fresh run must equal the baseline's."""
+    which the baseline does not write: the ordering runs again, and the
+    fresh run must equal the baseline's."""
     fleet = Fleet.of(cluster)
     pairs = []
     for run in result.runs:
-        log = EventLog()
-        assert run_single_ordering(fleet, run.ordering, result.config, timing, log) == run
+        fresh, log = ordering_log(fleet, run.ordering, result.config, timing)
+        assert fresh == run
         pairs.append((run, log))
     return pairs

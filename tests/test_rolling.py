@@ -159,3 +159,14 @@ def test_baseline_keeps_no_event_logs(request, fixture, orderings, limit_mb):
         tracemalloc.stop()
     assert len(result.runs) == orderings
     assert held < limit_mb * 1e6, f"{held / 1e6:.2f} MB held"
+
+
+@pytest.mark.parametrize("hosts, runs", [(6, 720), (7, 25)])
+def test_auto_enumerates_up_to_720_orderings(hosts, runs):
+    # 6! = 720 orderings are enumerated; 7! = 5,040 are sampled
+    result = run_rolling_baseline(
+        empty_cluster(hosts),
+        RollingBaselineConfig(batch_size=3, order_policy="auto", sample_count=25),
+        TimingConstants(),
+    )
+    assert len(result.runs) == runs

@@ -14,16 +14,12 @@ from hypothesis import given, settings, strategies as st
 
 from upgradesim.cluster import ClusterState
 from upgradesim.engine import EventLog
-from upgradesim.rolling import (
-    Fleet,
-    RollingBaselineConfig,
-    RollingRun,
-    run_rolling_baseline,
-    run_single_ordering,
-)
+from upgradesim.metrics import compute_sla_violations, penalty_report, per_vm_outage_totals
+from upgradesim.planner import TimingConstants
+from upgradesim.rolling import Fleet, RollingBaselineConfig, RollingRun, run_rolling_baseline
 from upgradesim.scenario import build_cluster, build_timing, load_scenario
 
-from conftest import SCENARIO_DIR, clone, of_kind, rerun_logs, toy_scenario
+from conftest import SCENARIO_DIR, clone, of_kind, ordering_log, rerun_logs, toy_scenario
 
 
 def _eligible(state: ClusterState, vm_id: str, host_id: str, batch: set[str]) -> bool:
@@ -118,8 +114,35 @@ def test_toy_cluster_runs_keep_placement_rules(cluster, batch_size, data):
     cfg = RollingBaselineConfig(batch_size=batch_size)
     for _ in range(3):
         ordering = tuple(data.draw(st.permutations(fleet.placement.hosts)))
-        log = EventLog()
-        replay(cluster, run_single_ordering(fleet, ordering, cfg, timing, log), log, batch_size)
+        run, log = ordering_log(fleet, ordering, cfg, timing)
+        replay(cluster, run, log, batch_size)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cluster=toy_clusters(), batch_size=st.integers(1, 4), data=st.data())
+def test_folded_penalties_equal_those_of_the_rendered_log(cluster, batch_size, data):
+    # any timing: no outage, one shorter than a migration, and one longer
+    # than a whole round, so that the spans of successive rounds overlap
+    migration_ms = data.draw(st.integers(0, 30_000), label="migration_ms")
+    upgrade_ms = data.draw(st.integers(0, 50_000), label="upgrade_ms")
+    round_ms = migration_ms + upgrade_ms
+    outage_ms = data.draw(
+        st.one_of(
+            st.just(0),
+            st.integers(1, migration_ms + 1),
+            st.integers(round_ms + 1, 3 * round_ms + 1),
+        ),
+        label="outage_ms",
+    )
+    timing = TimingConstants(migration_ms=migration_ms, migration_outage_ms=outage_ms)
+    cfg = RollingBaselineConfig(batch_size=batch_size, upgrade_ms=upgrade_ms)
+    fleet = Fleet.of(cluster)
+    tenants = sorted(cluster.tenants)
+    for _ in range(3):
+        ordering = tuple(data.draw(st.permutations(fleet.placement.hosts)))
+        run, log = ordering_log(fleet, ordering, cfg, timing)
+        assert run.penalties == penalty_report(compute_sla_violations(log, tenants), tenants)
+        assert sum(per_vm_outage_totals(log).values()) == run.vm_migrations * outage_ms
 
 
 SCENARIOS = sorted(p.name for p in SCENARIO_DIR.glob("*.json"))
@@ -136,8 +159,8 @@ def test_bundled_scenario_runs_keep_placement_rules(name):
     for batch_size in (1, 2, 3, 4):
         cfg = RollingBaselineConfig(batch_size=batch_size)
         for ordering in orderings:
-            log = EventLog()
-            replay(cluster, run_single_ordering(fleet, ordering, cfg, timing, log), log, batch_size)
+            run, log = ordering_log(fleet, ordering, cfg, timing)
+            replay(cluster, run, log, batch_size)
 
 
 def test_baseline_leaves_its_base_cluster_unchanged(scenario_a):

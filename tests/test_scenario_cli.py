@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from upgradesim import cli
 from upgradesim.cli import EXIT_CHANGE_SET_FAILED, EXIT_OK, EXIT_USAGE, main
 from upgradesim.errors import ScenarioError
 from upgradesim.scenario import load_scenario, parse_scenario
@@ -306,3 +307,41 @@ def test_change_target_naming_no_resource_exits_2(target, tmp_path, capsys):
     assert code == EXIT_CHANGE_SET_FAILED
     err = capsys.readouterr().err
     assert err == f"error: change 'ch-qemu': target {target!r} names no resource\n"
+
+
+def test_add_with_several_targets_and_no_new_resource_exits_2(tmp_path, capsys):
+    # an add creates one placeholder resource, so it must say which target is new
+    data = scenario_json(toy_scenario(host_count=2))
+    change = data["events"][0]["request"]["change_sets"][0]["changes"][0]
+    del change["selector"]
+    change.update(action="add", targets=["hvx", "hvy"])
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    code = main(["--scenario", str(path), "--out", str(tmp_path / "out")])
+    assert code == EXIT_CHANGE_SET_FAILED
+    err = capsys.readouterr().err
+    assert err == "error: change 'ch-qemu': add with several targets requires new_resource_id\n"
+
+
+def test_calls_in_one_process_share_no_parsed_state(tmp_path, monkeypatch):
+    # the parser is built once per process, not per call; each call's
+    # flags, and the defaults of those it leaves out, are its own
+    monkeypatch.setattr(cli, "make_parser", None)
+    scenario = str(SCENARIO_DIR / "table1-scenario-a.json")
+    runs = [
+        ["--mode", "compare", "--batch-sizes", "1", "--seed", "3"],
+        [],
+        ["--mode", "compare"],
+    ]
+    summaries = []
+    for i, flags in enumerate(runs):
+        out = tmp_path / str(i)
+        assert main(["--scenario", scenario, "--out", str(out)] + flags) == EXIT_OK
+        summaries.append(json.loads((out / "metrics.json").read_text()))
+    first, defaults, compare = summaries
+    assert [r["method"] for r in first["rows"]] == ["coordinator", "rolling-batch-1"]
+    assert defaults["mode"] == "coordinator"
+    assert not (tmp_path / "1" / "comparison.csv").exists()
+    assert [r["method"] for r in compare["rows"]] == [
+        "coordinator", *(f"rolling-batch-{b}" for b in (1, 2, 3, 4)),
+    ]
