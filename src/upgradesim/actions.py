@@ -7,6 +7,7 @@ constants (41 s, 23 s, 0.6 s, 0.23 s) combine without floating-point drift.
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 MS = 1000
@@ -52,6 +53,26 @@ class ResolvedAction:
         if self.params:
             out["params"] = dict(sorted(self.params.items()))
         return out
+
+
+def undo_of(actions: Sequence[ResolvedAction]) -> tuple[ResolvedAction, ...]:
+    """The actions that revert ``actions``: each one's undo, last action first."""
+    return tuple(u for action in reversed(actions) for u in action.undo)
+
+
+def apply_to_installed(installed: dict[str, str], action: ResolvedAction) -> None:
+    """Apply an install or a remove to an installed-products map in place.
+
+    An install drops the product it replaces and records its own version; a
+    remove drops its product. Other actions leave the map as it is.
+    """
+    if action.kind == ActionKind.INSTALL:
+        replaced = action.params.get("replaces_product")
+        if replaced:
+            installed.pop(replaced, None)
+        installed[action.params["product"]] = action.params["version"]
+    elif action.kind == ActionKind.REMOVE:
+        installed.pop(action.params.get("product", ""), None)
 
 
 @dataclass(frozen=True)

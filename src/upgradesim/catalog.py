@@ -10,9 +10,9 @@ is missing against the current cluster configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
-from upgradesim.actions import ActionKind, ResolvedAction, seconds_to_ms
+from upgradesim.actions import ActionKind, ResolvedAction, seconds_to_ms, undo_of
 from upgradesim.errors import (
     DuplicateComponentError,
     InvalidDescriptionError,
@@ -28,6 +28,13 @@ Capability = tuple[str, int]
 
 DEFAULT_INSTALL_SECONDS = 41.0
 
+_INVERSE = {
+    ActionKind.INSTALL: ActionKind.REMOVE,
+    ActionKind.REMOVE: ActionKind.INSTALL,
+    ActionKind.ACTIVATE: ActionKind.DEACTIVATE,
+    ActionKind.DEACTIVATE: ActionKind.ACTIVATE,
+}
+
 
 @dataclass(frozen=True)
 class CapabilityRange:
@@ -41,17 +48,6 @@ class CapabilityRange:
         if version < self.low:
             return False
         return self.high is None or version <= self.high
-
-
-@dataclass(frozen=True)
-class ActionTemplate:
-    action_id: str
-    target_kind: str
-    kind: ActionKind
-    duration_ms: int
-    undo_templates: tuple[str, ...]
-    prerequisite: str | None = None  # "evacuate-vms"
-    wrapup: str | None = None  # "return-vms"
 
 
 @dataclass(frozen=True)
@@ -74,13 +70,8 @@ class ComponentDescription:
     kind: str
     provides: tuple[Capability, ...] = ()
     requires: tuple[CapabilityRange, ...] = ()
-    install_actions: tuple[ActionTemplate, ...] = ()
-    remove_actions: tuple[ActionTemplate, ...] = ()
-    activate_actions: tuple[ActionTemplate, ...] = ()
-    deactivate_actions: tuple[ActionTemplate, ...] = ()
     install_time_ms: int = seconds_to_ms(DEFAULT_INSTALL_SECONDS)
     remove_time_ms: int = 0
-    hardware: bool = False
     storage_requirement: StorageRequirement | None = None
     # For virtual resources aggregated out of per-host components: the product
     # that must be installed on each constituent host.
@@ -95,21 +86,6 @@ class ComponentDescription:
             raise InvalidDescriptionError(
                 f"{self.component_id}: remove-time-estimate must be >= 0"
             )
-        for group in (
-            self.install_actions,
-            self.remove_actions,
-            self.activate_actions,
-            self.deactivate_actions,
-        ):
-            for tpl in group:
-                if tpl.duration_ms < 0:
-                    raise InvalidDescriptionError(
-                        f"{self.component_id}: action {tpl.action_id} has negative duration"
-                    )
-                if not tpl.undo_templates:
-                    raise InvalidDescriptionError(
-                        f"{self.component_id}: action {tpl.action_id} has empty undo-templates"
-                    )
         for name, _ in self.provides:
             if not name:
                 raise InvalidDescriptionError(
@@ -126,59 +102,6 @@ class ComponentDescription:
                 raise InvalidDescriptionError(
                     f"{self.component_id}: storage requirement counts must be >= 0"
                 )
-
-
-def build_description(
-    component_id: str,
-    product_id: str,
-    version: str,
-    kind: str,
-    provides: Iterable[Capability] = (),
-    requires: Iterable[CapabilityRange] = (),
-    install_time_ms: int = seconds_to_ms(DEFAULT_INSTALL_SECONDS),
-    remove_time_ms: int = 0,
-    hardware: bool = False,
-    storage_requirement: StorageRequirement | None = None,
-    constituent_product: str | None = None,
-) -> ComponentDescription:
-    """Create a description with the default symmetric action templates."""
-
-    def tpl(op: str, action_kind: ActionKind, duration: int, undo: str, **kw) -> ActionTemplate:
-        return ActionTemplate(
-            action_id=f"{op}:{component_id}",
-            target_kind=kind,
-            kind=action_kind,
-            duration_ms=duration,
-            undo_templates=(f"{undo}:{component_id}",),
-            **kw,
-        )
-
-    return ComponentDescription(
-        component_id=component_id,
-        product_id=product_id,
-        version=version,
-        kind=kind,
-        provides=tuple(provides),
-        requires=tuple(requires),
-        install_actions=(tpl("install", ActionKind.INSTALL, install_time_ms, "revert-install"),),
-        remove_actions=(tpl("remove", ActionKind.REMOVE, remove_time_ms, "install"),),
-        activate_actions=(tpl("activate", ActionKind.ACTIVATE, 0, "deactivate"),),
-        deactivate_actions=(
-            tpl(
-                "deactivate",
-                ActionKind.DEACTIVATE,
-                0,
-                "activate",
-                prerequisite="evacuate-vms",
-                wrapup="return-vms",
-            ),
-        ),
-        install_time_ms=install_time_ms,
-        remove_time_ms=remove_time_ms,
-        hardware=hardware,
-        storage_requirement=storage_requirement,
-        constituent_product=constituent_product,
-    )
 
 
 @dataclass(frozen=True)
@@ -215,12 +138,6 @@ class UpgradeCatalog:
             )
         self._by_id[desc.component_id] = desc
         self._by_product[key] = desc
-
-    def get(self, component_id: str) -> ComponentDescription:
-        try:
-            return self._by_id[component_id]
-        except KeyError:
-            raise MissingCatalogEntryError(f"no description for component {component_id!r}") from None
 
     def find(self, product_id: str, version: str) -> ComponentDescription:
         try:
@@ -285,30 +202,31 @@ class UpgradeCatalog:
         will run; the undo operation restores exactly that state.
         """
         desc = self.find(product_id, version)
-        actions: list[ResolvedAction] = []
         if action == "upgrade":
             if current is None:
                 raise MissingCatalogEntryError(
                     f"resource {resource_id!r} has no current component to upgrade"
                 )
-            src = self.find(*current)
-            actions.extend(self._deactivate(src, resource_id))
-            actions.extend(self._install(desc, resource_id, replaces=current))
-            actions.extend(self._activate(desc, resource_id))
+            actions = (
+                self._action(ActionKind.DEACTIVATE, self.find(*current), resource_id),
+                self._action(ActionKind.INSTALL, desc, resource_id, replaces=current),
+                self._action(ActionKind.ACTIVATE, desc, resource_id),
+            )
         elif action == "install":
-            actions.extend(self._install(desc, resource_id, replaces=None))
+            actions = (self._action(ActionKind.INSTALL, desc, resource_id),)
         elif action == "add":
-            actions.extend(self._install(desc, resource_id, replaces=None))
-            actions.extend(self._activate(desc, resource_id))
+            actions = (
+                self._action(ActionKind.INSTALL, desc, resource_id),
+                self._action(ActionKind.ACTIVATE, desc, resource_id),
+            )
         elif action == "remove":
-            actions.extend(self._deactivate(desc, resource_id))
-            actions.extend(self._remove(desc, resource_id))
+            actions = (
+                self._action(ActionKind.DEACTIVATE, desc, resource_id),
+                self._action(ActionKind.REMOVE, desc, resource_id),
+            )
         else:
             raise InvalidRequestError(f"unknown change action {action!r}")
-        undo: list[ResolvedAction] = []
-        for act in reversed(actions):
-            undo.extend(act.undo)
-        return UpgradeOperation(actions=tuple(actions), undo_actions=tuple(undo))
+        return UpgradeOperation(actions=actions, undo_actions=undo_of(actions))
 
     def resolve_restore(
         self,
@@ -325,133 +243,44 @@ class UpgradeCatalog:
             return ()
         if target is None:
             assert current is not None
-            src = self.find(*current)
-            return tuple(self._deactivate(src, resource_id) + self._remove(src, resource_id))
-        desc = self.find(*target)
-        ops: list[ResolvedAction] = []
-        if current is not None:
-            src = self.find(*current)
-            ops.extend(self._deactivate(src, resource_id))
-        ops.extend(self._install(desc, resource_id, replaces=current))
-        ops.extend(self._activate(desc, resource_id))
-        return tuple(ops)
+            return self.resolve_operation("remove", *current, resource_id, current).actions
+        action = "add" if current is None else "upgrade"
+        return self.resolve_operation(action, *target, resource_id, current).actions
 
-    def _install(
+    def _action(
         self,
+        kind: ActionKind,
         desc: ComponentDescription,
         resource_id: str,
-        replaces: tuple[str, str] | None,
-    ) -> list[ResolvedAction]:
-        out = []
-        for tpl in desc.install_actions:
-            params = {"product": desc.product_id, "version": desc.version}
-            if replaces is not None:
-                params["replaces_product"], params["replaces_version"] = replaces
-            if replaces is not None:
-                prev = self.find(*replaces)
-                undo = (
-                    ResolvedAction(
-                        action_id=f"install:{prev.component_id}",
-                        kind=ActionKind.INSTALL,
-                        target=resource_id,
-                        duration_ms=prev.install_time_ms,
-                        params={
-                            "product": prev.product_id,
-                            "version": prev.version,
-                            "replaces_product": desc.product_id,
-                            "replaces_version": desc.version,
-                        },
-                    ),
-                )
-            else:
-                undo = (
-                    ResolvedAction(
-                        action_id=f"remove:{desc.component_id}",
-                        kind=ActionKind.REMOVE,
-                        target=resource_id,
-                        duration_ms=desc.remove_time_ms,
-                        params={"product": desc.product_id, "version": desc.version},
-                    ),
-                )
-            out.append(
-                ResolvedAction(
-                    action_id=tpl.action_id,
-                    kind=ActionKind.INSTALL,
-                    target=resource_id,
-                    duration_ms=tpl.duration_ms,
-                    params=params,
-                    undo=undo,
-                )
-            )
-        return out
+        replaces: tuple[str, str] | None = None,
+    ) -> ResolvedAction:
+        """One action of ``desc`` on ``resource_id``, with its one-action undo.
 
-    def _remove(self, desc: ComponentDescription, resource_id: str) -> list[ResolvedAction]:
-        out = []
-        for tpl in desc.remove_actions:
-            undo = (
-                ResolvedAction(
-                    action_id=f"install:{desc.component_id}",
-                    kind=ActionKind.INSTALL,
-                    target=resource_id,
-                    duration_ms=desc.install_time_ms,
-                    params={"product": desc.product_id, "version": desc.version},
-                ),
-            )
-            out.append(
-                ResolvedAction(
-                    action_id=tpl.action_id,
-                    kind=ActionKind.REMOVE,
-                    target=resource_id,
-                    duration_ms=tpl.duration_ms,
-                    params={"product": desc.product_id, "version": desc.version},
-                    undo=undo,
-                )
-            )
-        return out
+        The undo follows the inverse rule: an install that replaces P is
+        undone by reinstalling P in place of the new product, any other
+        install by a remove, a remove by an install, and activate and
+        deactivate undo each other.
+        """
 
-    def _activate(self, desc: ComponentDescription, resource_id: str) -> list[ResolvedAction]:
-        out = []
-        for tpl in desc.activate_actions:
-            undo = (
-                ResolvedAction(
-                    action_id=f"deactivate:{desc.component_id}",
-                    kind=ActionKind.DEACTIVATE,
-                    target=resource_id,
-                    duration_ms=0,
-                ),
+        def build(kind, desc, replaces, undo=()) -> ResolvedAction:
+            params = {}
+            if kind in (ActionKind.INSTALL, ActionKind.REMOVE):
+                params = {"product": desc.product_id, "version": desc.version}
+                if replaces is not None:
+                    params["replaces_product"], params["replaces_version"] = replaces
+            duration = {
+                ActionKind.INSTALL: desc.install_time_ms,
+                ActionKind.REMOVE: desc.remove_time_ms,
+            }.get(kind, 0)
+            return ResolvedAction(
+                f"{kind.value}:{desc.component_id}", kind, resource_id, duration, params, undo
             )
-            out.append(
-                ResolvedAction(
-                    action_id=tpl.action_id,
-                    kind=ActionKind.ACTIVATE,
-                    target=resource_id,
-                    duration_ms=tpl.duration_ms,
-                    undo=undo,
-                )
-            )
-        return out
 
-    def _deactivate(self, desc: ComponentDescription, resource_id: str) -> list[ResolvedAction]:
-        out = []
-        for tpl in desc.deactivate_actions:
-            undo = (
-                ResolvedAction(
-                    action_id=f"activate:{desc.component_id}",
-                    kind=ActionKind.ACTIVATE,
-                    target=resource_id,
-                    duration_ms=0,
-                ),
-            )
-            out.append(
-                ResolvedAction(
-                    action_id=tpl.action_id,
-                    kind=ActionKind.DEACTIVATE,
-                    target=resource_id,
-                    duration_ms=tpl.duration_ms,
-                    undo=undo,
-                )
-            )
-        return out
+        if kind == ActionKind.INSTALL and replaces is not None:
+            inverse = build(kind, self.find(*replaces), (desc.product_id, desc.version))
+        else:
+            inverse = build(_INVERSE[kind], desc, None)
+        return build(kind, desc, replaces, (inverse,))
 
     # -- complementary changes ------------------------------------------------
 

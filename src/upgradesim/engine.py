@@ -7,7 +7,13 @@ import json
 import random
 from dataclasses import dataclass, field
 
-from upgradesim.actions import ActionKind, ActionOutcome, ResolvedAction, RuntimeUpgradeSchedule
+from upgradesim.actions import (
+    ActionKind,
+    ActionOutcome,
+    ResolvedAction,
+    RuntimeUpgradeSchedule,
+    apply_to_installed,
+)
 from upgradesim.cluster import ClusterState, Placement, SimResource, VmState
 from upgradesim.errors import (
     SimulationInvariantError,
@@ -23,9 +29,6 @@ class ScenarioEvent:
     at: int
     kind: str  # upgrade-request | admin-undo | scale-out | scale-in | host-failure | host-addition
     payload: dict
-
-    def describe(self) -> dict:
-        return {"at": self.at, "kind": self.kind, "payload": self.payload}
 
 
 @dataclass(frozen=True)
@@ -118,7 +121,6 @@ class Engine:
         self.log = log if log is not None else EventLog()
         self._queue: list[ScenarioEvent] = sorted(events, key=lambda e: (e.at, e.kind))
         self._deferred_scalings: list[ScenarioEvent] = []
-        self.capacity_rejections = 0
         # delivered to the coordinator by advance_to(); it decides what to do
         self.pending_requests: list[dict] = []
         self.pending_admin_undos: list[str] = []
@@ -252,12 +254,9 @@ class Engine:
             res.present = True
             self.log.emit(end, "resource-activated", resource=res.resource_id)
         elif kind == ActionKind.INSTALL:
-            replaced = action.params.get("replaces_product")
-            if replaced and replaced in res.installed:
-                del res.installed[replaced]
-            res.installed[action.params["product"]] = action.params["version"]
+            apply_to_installed(res.installed, action)
             res.present = True
-            if res.primary_product is None or replaced == res.primary_product:
+            if res.primary_product in (None, action.params.get("replaces_product")):
                 res.primary_product = action.params["product"]
             self.log.emit(
                 end,
@@ -267,7 +266,7 @@ class Engine:
                 version=action.params["version"],
             )
         elif kind == ActionKind.REMOVE:
-            res.installed.pop(action.params.get("product", ""), None)
+            apply_to_installed(res.installed, action)
             if res.primary_product == action.params.get("product"):
                 res.removed = True
                 res.active = False
@@ -376,7 +375,6 @@ class Engine:
             if dest is None:
                 self.cluster.drop_vm(vm_id)
                 tenant.vm_seq -= 1
-                self.capacity_rejections += 1
                 self._deferred_scalings.append(
                     ScenarioEvent(now + tenant.cooldown_ms, "scale-out", dict(event.payload))
                 )

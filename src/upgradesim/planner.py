@@ -18,6 +18,8 @@ from upgradesim.actions import (
     ResolvedAction,
     RuntimeUpgradeSchedule,
     TimedAction,
+    apply_to_installed,
+    undo_of,
 )
 from upgradesim.catalog import StorageRequirement, UpgradeCatalog
 from upgradesim.cluster import ClusterState, Placement, TenantSLA, VmState
@@ -69,26 +71,10 @@ class PartitionView:
     partitioned: bool
     new_side_ready: bool
 
-    def describe(self) -> dict:
-        return {
-            "compute": sorted(self.compute),
-            "storage": sorted(self.storage),
-            "compute_for_old": sorted(self.compute_for_old),
-            "compute_for_new": sorted(self.compute_for_new),
-            "used_compute": sorted(self.used_compute),
-            "used_compute_for_old": sorted(self.used_compute_for_old),
-            "used_compute_for_new": sorted(self.used_compute_for_new),
-            "vms_per_host": self.vms_per_host,
-            "vms_per_host_new": self.vms_per_host_new,
-            "partitioned": self.partitioned,
-            "new_side_ready": self.new_side_ready,
-        }
-
 
 @dataclass(frozen=True)
 class Batch:
     groups: tuple[str, ...]
-    kind: str  # "initial" | "final"
     # final batch: each group's checked evacuation moves, aligned with groups
     evacuations: tuple[tuple[PlannedMigration, ...], ...] = ()
 
@@ -231,16 +217,12 @@ def max_scaling_adjustment(tenants: list[TenantSLA], window_ms: int) -> int:
     return best
 
 
-def scaling_host_reservation(adjustment_vms: int, tenant_count: int, per_host: int) -> int:
-    """Hosts reserved so every scale-capable tenant can burst at once."""
-    if per_host < 1:
-        raise ValueError("per-host VM capacity must be >= 1")
-    return adjustment_vms * ceil_div(tenant_count, per_host)
-
-
 def scaling_reservation(adjustment_vms: int, tenant_count: int, per_host: int) -> int:
-    """``scaling_host_reservation``, or none while no host can take a VM."""
-    return scaling_host_reservation(adjustment_vms, tenant_count, per_host) if per_host >= 1 else 0
+    """Hosts reserved so every scale-capable tenant can burst at once; none
+    while no host can take a VM."""
+    if per_host < 1:
+        return 0
+    return adjustment_vms * ceil_div(tenant_count, per_host)
 
 
 def out_of_service_budget(
@@ -571,13 +553,7 @@ def _installed_after_level(
     sim = cluster.resources.get(resource_id)
     state = dict(sim.installed) if sim is not None else {}
     for action in level.actions:
-        if action.kind == ActionKind.INSTALL:
-            replaced = action.params.get("replaces_product")
-            if replaced and replaced in state:
-                del state[replaced]
-            state[action.params["product"]] = action.params["version"]
-        elif action.kind == ActionKind.REMOVE:
-            state.pop(action.params.get("product", ""), None)
+        apply_to_installed(state, action)
     return state
 
 
@@ -715,7 +691,7 @@ def initial_batch(
             survivors.append(group)
         else:
             eliminations.append(Elimination(group.group_id, rule))
-    return Batch(tuple(g.group_id for g in survivors), "initial"), eliminations
+    return Batch(tuple(g.group_id for g in survivors)), eliminations
 
 
 def _first_violated_rule(
@@ -980,7 +956,7 @@ def select_final_batch(
         excluded = tentative_excluded
         destinations.update(m.dest for m in moves)
         placement = trial
-    return Batch(tuple(g.group_id for g in selected), "final", tuple(evacuations))
+    return Batch(tuple(g.group_id for g in selected), tuple(evacuations))
 
 
 # -- schedule construction -----------------------------------------------------------
@@ -1182,9 +1158,7 @@ def process_feedback(
             if outcome is None or not outcome.success:
                 break
             completed_prefix.append(action)
-        recovery_actions: list[ResolvedAction] = []
-        for action in reversed(completed_prefix):
-            recovery_actions.extend(action.undo)
+        recovery_actions = undo_of(completed_prefix)
         if recovery_actions:
             steps = []
             cursor = 0

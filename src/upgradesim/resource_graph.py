@@ -15,9 +15,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from upgradesim.actions import ActionKind, ResolvedAction
+from upgradesim.actions import ActionKind, ResolvedAction, undo_of
 from upgradesim.catalog import UpgradeCatalog
 from upgradesim.cluster import ClusterState, SimResource
+from upgradesim.errors import MissingCatalogEntryError
 from upgradesim.requests import Change, ChangeSet, Status, UpgradeRequestModel, within_deadline
 
 
@@ -291,9 +292,7 @@ def incorporate_change_set(
                 # first split-mode partition stays deactivated until switchover
                 while actions and actions[-1].kind == ActionKind.ACTIVATE:
                     actions = actions[:-1]
-                undo_actions = tuple(
-                    u for a in reversed(actions) for u in a.undo
-                )
+                undo_actions = undo_of(actions)
             res.levels.append(
                 ExecutionLevel(
                     change_id=change.change_id,
@@ -602,7 +601,7 @@ def _rederive_following_levels(
             continue
         try:
             operation = catalog.resolve_operation(
-                level.kind, _level_product(level), _level_version(level), res.resource_id, state
+                level.kind, *_level_target(level), res.resource_id, state
             )
             level = ExecutionLevel(
                 change_id=level.change_id,
@@ -612,25 +611,16 @@ def _rederive_following_levels(
                 actions=operation.actions,
                 undo_actions=operation.undo_actions,
             )
-        except Exception:
+        except MissingCatalogEntryError:
             pass  # keep the original resolution when re-derivation is impossible
         rebuilt.append(level)
         state = _state_after_level(state, level)
     res.levels = rebuilt
 
 
-def _level_product(level: ExecutionLevel) -> str:
-    for action in level.actions:
-        if action.kind == ActionKind.INSTALL:
-            return action.params["product"]
-        if action.kind == ActionKind.REMOVE:
-            return action.params["product"]
-    return ""
-
-
-def _level_version(level: ExecutionLevel) -> str:
+def _level_target(level: ExecutionLevel) -> tuple[str, str]:
+    """The (product, version) the level's first install or remove names."""
     for action in level.actions:
         if action.kind in (ActionKind.INSTALL, ActionKind.REMOVE):
-            return action.params["version"]
-    return ""
-
+            return action.params["product"], action.params["version"]
+    return "", ""

@@ -16,9 +16,9 @@ from pathlib import Path
 from upgradesim.actions import seconds_to_ms
 from upgradesim.catalog import (
     CapabilityRange,
+    ComponentDescription,
     StorageRequirement,
     UpgradeCatalog,
-    build_description,
 )
 from upgradesim.cluster import ClusterState, SimResource, TenantSLA, VmState, host_kind
 from upgradesim.engine import FailureModel, ScenarioEvent, ScriptedFailure
@@ -310,19 +310,18 @@ def build_catalog(scenario: Scenario) -> UpgradeCatalog:
                 min_hosts_for_capacity=entry["storage_requirement"]["min_hosts_for_capacity"],
             )
         catalog.register(
-            build_description(
+            ComponentDescription(
                 component_id=entry["component_id"],
                 product_id=entry["product"],
                 version=entry["version"],
                 kind=entry["kind"],
-                provides=[(name, version) for name, version in entry["provides"]],
-                requires=[
+                provides=tuple((name, version) for name, version in entry["provides"]),
+                requires=tuple(
                     CapabilityRange(r[0], r[1], r[2] if len(r) > 2 else None)
                     for r in entry["requires"]
-                ],
+                ),
                 install_time_ms=seconds_to_ms(entry["install_seconds"]),
                 remove_time_ms=seconds_to_ms(entry["remove_seconds"]),
-                hardware=entry["hardware"],
                 storage_requirement=requirement,
                 constituent_product=entry["constituent_product"],
             )

@@ -59,9 +59,6 @@ class SubIteration:
         if len(set(self.groups)) != len(self.groups):
             raise ValueError("sub-iteration selects two VMs of one anti-affinity group")
 
-    def describe(self) -> dict:
-        return {"index": self.index, "vms": list(self.vms)}
-
 
 def old_side_vms(cluster: ClusterState, view: PartitionView) -> list[VmState]:
     out = []

@@ -1,12 +1,12 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from upgradesim.actions import ActionKind
+from upgradesim.actions import ActionKind, apply_to_installed
 from upgradesim.catalog import (
     CapabilityRange,
+    ComponentDescription,
     StorageRequirement,
     UpgradeCatalog,
-    build_description,
 )
 from upgradesim.errors import (
     DuplicateComponentError,
@@ -20,57 +20,42 @@ from upgradesim.scenario import build_catalog, build_cluster, build_events, pars
 def make_catalog() -> UpgradeCatalog:
     catalog = UpgradeCatalog()
     catalog.register(
-        build_description(
+        ComponentDescription(
             "ceph-osd-2", "ceph", "2", "storage-host",
-            provides=[("storage-api", 2)],
-            requires=[CapabilityRange("storage-api", 2, 2)],
+            provides=(("storage-api", 2),),
+            requires=(CapabilityRange("storage-api", 2, 2),),
         )
     )
     return catalog
 
 
 def test_register_then_fetch_identity():
-    catalog = make_catalog()
-    desc = catalog.find("ceph", "2")
-    assert desc.component_id == "ceph-osd-2"
-    assert catalog.get("ceph-osd-2") is desc
+    desc = ComponentDescription("ceph-osd-2", "ceph", "2", "storage-host")
+    catalog = UpgradeCatalog()
+    catalog.register(desc)
+    assert catalog.find("ceph", "2") is desc
+    assert catalog.descriptions() == [desc]
 
 
 def test_register_same_content_is_idempotent():
     catalog = make_catalog()
-    desc = catalog.get("ceph-osd-2")
+    desc = catalog.find("ceph", "2")
     catalog.register(desc)  # no error
     assert catalog.find("ceph", "2") is desc
 
 
 def test_register_conflicting_content_rejected():
     catalog = make_catalog()
-    other = build_description(
+    other = ComponentDescription(
         "ceph-osd-2", "ceph", "2", "storage-host", install_time_ms=5_000
     )
     with pytest.raises(DuplicateComponentError):
         catalog.register(other)
 
 
-def test_empty_undo_templates_rejected():
-    desc = build_description("x-1", "x", "1", "hypervisor")
-    bad = desc.install_actions[0].__class__(
-        action_id="install:x-1",
-        target_kind="hypervisor",
-        kind=ActionKind.INSTALL,
-        duration_ms=1000,
-        undo_templates=(),
-    )
-    broken = type(desc)(
-        **{**desc.__dict__, "install_actions": (bad,)}
-    )
-    with pytest.raises(InvalidDescriptionError, match="undo-templates"):
-        UpgradeCatalog().register(broken)
-
-
 def test_nonpositive_install_time_rejected():
     with pytest.raises(InvalidDescriptionError, match="install-time"):
-        UpgradeCatalog().register(build_description("y-1", "y", "1", "router", install_time_ms=0))
+        UpgradeCatalog().register(ComponentDescription("y-1", "y", "1", "router", install_time_ms=0))
 
 
 class TestCompatibility:
@@ -81,13 +66,13 @@ class TestCompatibility:
     def test_disjoint(self):
         catalog = make_catalog()
         catalog.register(
-            build_description(
-                "ceph-osd-1", "ceph", "1", "storage-host", provides=[("storage-api", 1)]
+            ComponentDescription(
+                "ceph-osd-1", "ceph", "1", "storage-host", provides=(("storage-api", 1),)
             )
         )
         catalog.register(
-            build_description(
-                "rbd-2", "rbd", "2", "other", requires=[CapabilityRange("storage-api", 2, 3)]
+            ComponentDescription(
+                "rbd-2", "rbd", "2", "other", requires=(CapabilityRange("storage-api", 2, 3),)
             )
         )
         assert not catalog.compatible({"rbd": "2"}, {"ceph": "1"})
@@ -164,8 +149,8 @@ class TestComplementaryChanges:
 class TestOperationResolution:
     def test_hypervisor_upgrade_is_41_seconds(self):
         catalog = UpgradeCatalog()
-        catalog.register(build_description("esxi-1", "esxi", "1", "hypervisor", install_time_ms=41_000))
-        catalog.register(build_description("kvm-2", "kvm", "2", "hypervisor", install_time_ms=41_000))
+        catalog.register(ComponentDescription("esxi-1", "esxi", "1", "hypervisor", install_time_ms=41_000))
+        catalog.register(ComponentDescription("kvm-2", "kvm", "2", "hypervisor", install_time_ms=41_000))
         op = catalog.resolve_operation("upgrade", "kvm", "2", "hv1", ("esxi", "1"))
         kinds = [a.kind for a in op.actions]
         assert kinds == [ActionKind.DEACTIVATE, ActionKind.INSTALL, ActionKind.ACTIVATE]
@@ -174,7 +159,7 @@ class TestOperationResolution:
 
     def test_remove_has_symmetric_undo(self):
         catalog = UpgradeCatalog()
-        catalog.register(build_description("vsan-1", "vsan", "1", "virtual-storage", install_time_ms=60_000))
+        catalog.register(ComponentDescription("vsan-1", "vsan", "1", "virtual-storage", install_time_ms=60_000))
         op = catalog.resolve_operation("remove", "vsan", "1", "vs1", ("vsan", "1"))
         assert [a.kind for a in op.actions] == [ActionKind.DEACTIVATE, ActionKind.REMOVE]
         assert [a.kind for a in op.undo_actions] == [ActionKind.INSTALL, ActionKind.ACTIVATE]
@@ -185,7 +170,7 @@ class TestOperationResolution:
         catalog = UpgradeCatalog()
         for version, ms in (("0", 7_000), ("1", 41_000), ("2", 41_000)):
             catalog.register(
-                build_description(f"qemu-{version}", "qemu", version, "hypervisor", install_time_ms=ms)
+                ComponentDescription(f"qemu-{version}", "qemu", version, "hypervisor", install_time_ms=ms)
             )
         restore = catalog.resolve_restore("hv1", ("qemu", "2"), ("qemu", "0"))
         install = next(a for a in restore if a.kind == ActionKind.INSTALL)
@@ -194,29 +179,85 @@ class TestOperationResolution:
 
     def test_restore_noop_when_already_there(self):
         catalog = UpgradeCatalog()
-        catalog.register(build_description("qemu-1", "qemu", "1", "hypervisor"))
+        catalog.register(ComponentDescription("qemu-1", "qemu", "1", "hypervisor"))
         assert catalog.resolve_restore("hv1", ("qemu", "1"), ("qemu", "1")) == ()
 
 
-def _symbolic_apply(state, actions):
-    for action in actions:
-        if action.kind == ActionKind.INSTALL:
-            state = (action.params["product"], action.params["version"])
-        elif action.kind == ActionKind.REMOVE:
-            state = None
-    return state
-
-
-@given(versions=st.lists(st.integers(0, 5), min_size=2, max_size=4, unique=True))
-def test_apply_then_undo_is_identity_on_version_state(versions):
+def _product_catalog(versions, install_ms, remove_ms) -> UpgradeCatalog:
     catalog = UpgradeCatalog()
-    for v in versions:
-        catalog.register(build_description(f"p-{v}", "p", str(v), "router", install_time_ms=1000))
-    source, target = str(versions[0]), str(versions[1])
-    op = catalog.resolve_operation("upgrade", "p", target, "r1", ("p", source))
-    after = _symbolic_apply(("p", source), op.actions)
-    assert after == ("p", target)
-    assert _symbolic_apply(after, op.undo_actions) == ("p", source)
+    for product in ("p", "q"):
+        for v in versions:
+            catalog.register(ComponentDescription(
+                f"{product}-{v}", product, str(v), "router",
+                install_time_ms=install_ms, remove_time_ms=remove_ms,
+            ))
+    return catalog
+
+
+INSTALL_MS = st.integers(1, 90_000)
+REMOVE_MS = st.integers(0, 90_000)
+
+
+@given(
+    action=st.sampled_from(["upgrade", "install", "add", "remove"]),
+    versions=st.lists(st.integers(0, 5), min_size=2, max_size=4, unique=True),
+    products=st.tuples(st.sampled_from("pq"), st.sampled_from("pq")),
+    install_ms=INSTALL_MS,
+    remove_ms=REMOVE_MS,
+)
+@example(action="remove", versions=[0, 1], products=("p", "p"), install_ms=1, remove_ms=0)
+def test_apply_then_undo_is_identity_on_version_state(
+    action, versions, products, install_ms, remove_ms
+):
+    catalog = _product_catalog(versions, install_ms, remove_ms)
+    source = (products[0], str(versions[0]))
+    target = (products[1], str(versions[1]))
+    if action == "remove":
+        target = source
+    current = source if action in ("upgrade", "remove") else None
+    installed = {"other": "1", **dict([current] if current else [])}
+    op = catalog.resolve_operation(action, *target, "r1", current)
+
+    after = dict(installed)
+    for step in op.actions:
+        apply_to_installed(after, step)
+    expected = {k: v for k, v in installed.items() if (k, v) != current}
+    if action != "remove":
+        expected[target[0]] = target[1]
+    assert after == expected
+    for step in op.undo_actions:
+        apply_to_installed(after, step)
+    assert after == installed
+    assert [a.undo for a in op.undo_actions] == [()] * len(op.undo_actions)
+
+
+@given(
+    versions=st.lists(st.integers(0, 5), min_size=1, max_size=4, unique=True),
+    states=st.tuples(st.integers(-1, 3), st.integers(-1, 3)),
+    install_ms=INSTALL_MS,
+    remove_ms=REMOVE_MS,
+)
+def test_restore_is_the_forward_actions_of_the_matching_operation(
+    versions, states, install_ms, remove_ms
+):
+    catalog = _product_catalog(versions, install_ms, remove_ms)
+    current, target = (
+        None if i < 0 else ("pq"[i % 2], str(versions[i % len(versions)])) for i in states
+    )
+    restore = catalog.resolve_restore("r1", current, target)
+    if current == target:
+        assert restore == ()
+        return
+    if target is None:
+        op = catalog.resolve_operation("remove", *current, "r1", current)
+    else:
+        action = "add" if current is None else "upgrade"
+        op = catalog.resolve_operation(action, *target, "r1", current)
+    assert restore == op.actions
+    installed = dict([current]) if current else {}
+    for step in restore:
+        apply_to_installed(installed, step)
+    assert installed == (dict([target]) if target else {})
 
 
 def test_storage_requirement_bound():

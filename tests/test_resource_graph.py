@@ -1,9 +1,12 @@
+import pytest
+
 from upgradesim.actions import ActionKind
 from upgradesim.requests import Status, UpgradeRequestModel
 from upgradesim.resource_graph import (
     DependencyKind,
     Presence,
     ResourceGraph,
+    _rederive_following_levels,
     apply_iteration_outcome,
     refresh_structure,
     sync_graph,
@@ -262,6 +265,24 @@ class TestMergeNewRequests:
         assert [lvl.set_id for lvl in levels2] == ["cs-2"]
         install2 = next(a for a in levels2[0].actions if a.kind == ActionKind.INSTALL)
         assert install2.params["replaces_version"] == "1"
+
+
+    def test_level_that_cannot_be_rederived_keeps_its_resolution(self, monkeypatch):
+        # an upgrade re-derived from no installed product, as after an undone
+        # add, has nothing to replace: the level keeps its actions
+        cluster, catalog, model, rg = build_env(toy_scenario(host_count=1))
+        res = rg.resources["hv1"]
+        before = list(res.levels)
+        _rederive_following_levels(res, None, catalog)
+        assert res.levels == before
+
+        # any other error is a fault, not a level that cannot be re-derived
+        def broken(*args):
+            raise TypeError("broken")
+
+        monkeypatch.setattr(catalog, "resolve_operation", broken)
+        with pytest.raises(TypeError):
+            _rederive_following_levels(res, ("qemu", "1"), catalog)
 
 
 def test_refresh_tracks_cluster_changes():
