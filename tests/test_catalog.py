@@ -209,13 +209,16 @@ REMOVE_MS = st.integers(0, 90_000)
 def test_apply_then_undo_is_identity_on_version_state(
     action, versions, products, install_ms, remove_ms
 ):
+    # the forward actions make the change; their undo restores the whole map
     catalog = _product_catalog(versions, install_ms, remove_ms)
     source = (products[0], str(versions[0]))
     target = (products[1], str(versions[1]))
     if action == "remove":
         target = source
     current = source if action in ("upgrade", "remove") else None
-    installed = {"other": "1", **dict([current] if current else [])}
+    installed = {"other": "1"}
+    if current is not None:
+        installed[current[0]] = current[1]
     op = catalog.resolve_operation(action, *target, "r1", current)
 
     after = dict(installed)
